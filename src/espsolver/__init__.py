@@ -1,8 +1,8 @@
 """Exact solver for the equal-sum-product problem.
 
-Enumerates, for any n >= 2, every n-tuple of positive integers whose sum
-equals its product, and searches ranges for exceptional values (n whose
-only such tuple is the basic one).
+Enumerates, for 2 <= n <= MAX_SOLVE_N, every n-tuple of positive integers
+whose sum equals its product, and searches ranges for exceptional values
+(n whose only such tuple is the basic one).
 """
 
 from .base_sets import build_s2, divisors_up_to_sqrt, is_prime
@@ -13,7 +13,6 @@ from .core import (
     SolutionKey,
     SolutionSet,
     common_value,
-    compare_keys,
     is_basic,
     validate,
 )
@@ -26,18 +25,22 @@ from .exceptional import (
 )
 from .oracle import brute_force_solutions
 from .solver import (
+    MAX_SOLVE_N,
     JRange,
     MemoStore,
     calc_shell,
     calc_solution,
     extend_candidate,
     j_bounds,
+    reference_solution,
+    walk_shell,
 )
 
 __all__ = [
     "DomainError",
     "InvalidSolutionError",
     "JRange",
+    "MAX_SOLVE_N",
     "MemoStore",
     "ScanReport",
     "Solution",
@@ -48,7 +51,6 @@ __all__ = [
     "calc_shell",
     "calc_solution",
     "common_value",
-    "compare_keys",
     "divisors_up_to_sqrt",
     "extend_candidate",
     "find_first_nonbasic",
@@ -57,8 +59,10 @@ __all__ = [
     "is_prime",
     "is_sophie_germain",
     "j_bounds",
+    "reference_solution",
     "scan_exceptional",
     "validate",
+    "walk_shell",
 ]
 
 __version__ = "0.1.0"

@@ -7,7 +7,6 @@ solution (d+1, (n-1)/d + 1; n-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .core import DomainError, Solution, SolutionKey, SolutionSet
@@ -19,20 +18,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class DivisorList:
-    """All divisors d of m with d*d <= m, ascending."""
-
-    m: int
-    divisors: tuple[int, ...]
-
-
-def divisors_up_to_sqrt(m: int) -> DivisorList:
-    """Enumerate the divisors of m up to sqrt(m) by trial division."""
+def divisors_up_to_sqrt(m: int) -> tuple[int, ...]:
+    """The divisors d of m with d*d <= m, ascending, by trial division."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    divs = tuple(d for d in range(1, isqrt(m) + 1) if m % d == 0)
-    return DivisorList(m, divs)
+    return tuple(d for d in range(1, isqrt(m) + 1) if m % d == 0)
 
 
 def build_s2(n: int) -> SolutionSet:
@@ -45,7 +35,7 @@ def build_s2(n: int) -> SolutionSet:
     m = n - 1
     solutions = frozenset(
         Solution(tuple(sorted((d + 1, m // d + 1))), n - 2)
-        for d in divisors_up_to_sqrt(m).divisors
+        for d in divisors_up_to_sqrt(m)
     )
     return SolutionSet(SolutionKey(n, 2), solutions)
 

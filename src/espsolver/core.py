@@ -28,13 +28,6 @@ class SolutionKey:
     r: int
 
 
-def compare_keys(a: SolutionKey, b: SolutionKey) -> int:
-    """Total order on keys: by n, ties broken by r.  Returns -1, 0 or 1."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 @dataclass(frozen=True)
 class Solution:
     """An ESP solution: non-unit components (ascending) plus a unit count.

@@ -3,19 +3,21 @@
 The known exceptional values are {2, 3, 4, 6, 24, 114, 174, 444}.  For
 n > 2 to be exceptional, n-1 must be prime (otherwise S_2(n) already has
 a second element), and in fact a Sophie Germain prime; scans use that as
-a cheap necessary-condition filter and bail out of each candidate at the
-first non-basic solution found.
+a cheap necessary-condition filter.  Each candidate is then checked by
+`find_first_nonbasic`, which stops at the first non-basic solution that
+the solver's product-bounded walk (`solver.walk_shell`) yields.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .base_sets import is_prime
 from .core import DomainError, Solution, is_basic
-from .solver import MemoStore, calc_shell
+from .solver import MemoStore, calc_shell, walk_shell
 
 
 def is_sophie_germain(p: int) -> bool:
@@ -23,63 +25,25 @@ def is_sophie_germain(p: int) -> bool:
     return is_prime(p) and is_prime(2 * p + 1)
 
 
-def _first_shell_member(n: int, r: int) -> Solution | None:
-    """First solution with exactly r non-unit components, or None.
-
-    Walks ascending (r-1)-prefixes of non-unit components directly,
-    solving for the largest component w = (sum + n - r) / (product - 1).
-    Every branch whose minimal completed product would exceed 2n is cut
-    (no common value can), which keeps an exhaustive miss to a few
-    thousand steps even for n around 10^5 -- sweeping the recursive
-    subproblem window instead is quadratic in n when the shell is empty.
-    """
-    cap = 2 * n
-
-    def walk(prefix: list[int], total: int, prod: int, lo: int) -> Solution | None:
-        if len(prefix) == r - 1:
-            den = prod - 1
-            num = total + n - r
-            if num % den == 0:
-                w = num // den
-                if w >= prefix[-1]:
-                    return Solution(tuple(prefix) + (w,), n - r)
-            return None
-        slots_left = r - 1 - len(prefix)  # prefix slots still open, plus w
-        for x in range(lo, n + 1):
-            nxt = prod * x
-            if nxt * x**slots_left > cap:
-                break
-            prefix.append(x)
-            hit = walk(prefix, total + x, nxt, x)
-            prefix.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    return walk([], 0, 1, 2)
-
-
 def find_first_nonbasic(n: int, memo: MemoStore | None = None) -> Solution | None:
     """Return some non-basic ESP solution for n variables, or None.
 
-    Cheap exit first: S_2(n) has a second element exactly when n-1 is
-    composite, and no higher shell is touched in that case.  Otherwise the
-    shells r = 3, 4, ... are swept with the recursive construction,
-    stopping at the first successful extension.
+    When n-1 is composite, S_2(n) has a second element, and the smallest
+    one is returned without touching a higher shell.  When n = 2 or n-1 is
+    prime, S_2(n) holds only the basic solution, so the answer is the
+    first member `walk_shell` finds in r = 3, 4, ..., floor(log2 n) + 1.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    if memo is None:
-        memo = MemoStore()
-    s2 = calc_shell(n, 2, memo)
-    nonbasic = min(
-        (s for s in s2 if not is_basic(s)), key=lambda s: s.nonunit, default=None
-    )
-    if nonbasic is not None:
-        return nonbasic
-    m = n.bit_length() - 1
-    for r in range(3, m + 2):
-        hit = _first_shell_member(n, r)
+    if n > 2 and not is_prime(n - 1):
+        if memo is None:
+            memo = MemoStore()
+        s2 = calc_shell(n, 2, memo)
+        return min(
+            (s for s in s2 if not is_basic(s)), key=lambda s: s.nonunit, default=None
+        )
+    for r in range(3, n.bit_length() + 1):
+        hit = next(walk_shell(n, r), None)
         if hit is not None:
             return hit
     return None
@@ -110,12 +74,20 @@ class ScanReport:
         }
 
 
-def _candidates(lo: int, hi: int, use_sg_filter: bool) -> list[int]:
+def _candidates(lo: int, hi: int, use_sg_filter: bool) -> tuple[list[int], int]:
+    """The n in [lo, hi] to check, and how many of them pass the SG filter."""
     # n=2 is exceptional yet n-1=1 is not prime; always a candidate.
     out = [2] if lo <= 2 <= hi else []
-    test = is_sophie_germain if use_sg_filter else is_prime
-    out.extend(n for n in range(max(lo, 3), hi + 1) if test(n - 1))
-    return out
+    rest = range(max(lo, 3), hi + 1)
+    if use_sg_filter:
+        out.extend(n for n in rest if is_sophie_germain(n - 1))
+        return out, len(out)
+    sg_count = len(out)
+    for n in rest:
+        if is_prime(n - 1):
+            out.append(n)
+            sg_count += is_prime(2 * n - 1)
+    return out, sg_count
 
 
 def _scan_chunk(candidates: list[int]) -> list[int]:
@@ -130,13 +102,17 @@ def scan_exceptional(
 
     With the filter on, only n=2 and n with n-1 a Sophie Germain prime are
     tested; with it off, every n with n-1 prime is.  The filter is a
-    proven necessary condition, so both modes find the same values.
+    proven necessary condition, so both modes find the same values, and
+    `sg_candidates` is the filtered count in both.  `workers` must be >= 1
+    and is capped at the number of CPUs.
     """
     if lo < 2 or lo > hi:
         raise DomainError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     start = time.perf_counter()
-    candidates = _candidates(lo, hi, use_sg_filter)
-    sg_count = len(_candidates(lo, hi, True)) if not use_sg_filter else len(candidates)
+    candidates, sg_count = _candidates(lo, hi, use_sg_filter)
     if workers > 1 and len(candidates) > 1:
         chunk = -(-len(candidates) // workers)
         chunks = [candidates[i : i + chunk] for i in range(0, len(candidates), chunk)]

@@ -15,9 +15,7 @@ class TestDivisors:
         [(1, (1,)), (14, (1, 2)), (4, (1, 2)), (36, (1, 2, 3, 4, 6)), (97, (1,))],
     )
     def test_examples(self, m, expected):
-        dl = divisors_up_to_sqrt(m)
-        assert dl.m == m
-        assert dl.divisors == expected
+        assert divisors_up_to_sqrt(m) == expected
 
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
@@ -25,7 +23,7 @@ class TestDivisors:
 
     def test_complete_and_bounded(self):
         for m in range(1, 500):
-            divs = divisors_up_to_sqrt(m).divisors
+            divs = divisors_up_to_sqrt(m)
             assert list(divs) == [d for d in range(1, m + 1) if m % d == 0 and d * d <= m]
 
 

@@ -1,10 +1,12 @@
 import json
+import os
 
 import pytest
 
+from espsolver import exceptional
 from espsolver.cli import main
 from espsolver.core import Solution
-from espsolver.solver import calc_solution
+from espsolver.solver import MAX_SOLVE_N, calc_solution
 
 
 class TestSolve:
@@ -26,6 +28,11 @@ class TestSolve:
         assert main(["solve", "1"]) == 2
         err = capsys.readouterr().err
         assert "error" in err and ">= 2" in err
+
+    @pytest.mark.parametrize("n", [MAX_SOLVE_N + 1, 10**18])
+    def test_solve_above_limit_domain_error(self, capsys, n):
+        assert main(["solve", str(n)]) == 2
+        assert str(MAX_SOLVE_N) in capsys.readouterr().err
 
     def test_solve_non_integer_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -88,3 +95,40 @@ class TestScan:
     def test_scan_bad_range(self, capsys):
         assert main(["scan", "9", "3"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_scan_workers_below_one(self, capsys, workers):
+        assert main(["scan", "2", "100", "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+class TestWorkersCap:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        FakePool.sizes = []
+        monkeypatch.setattr(exceptional, "ProcessPoolExecutor", FakePool)
+
+    @pytest.mark.parametrize("cpus,expected", [(3, [3]), (1, []), (None, [])])
+    def test_capped_at_cpu_count(self, capsys, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["scan", "2", "1000", "--sg-filter", "--workers", "64"]) == 0
+        assert "exceptional: 2 3 4 6 24 114 174 444" in capsys.readouterr().out
+        assert FakePool.sizes == expected

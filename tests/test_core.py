@@ -8,30 +8,21 @@ from espsolver.core import (
     SolutionKey,
     SolutionSet,
     common_value,
-    compare_keys,
     is_basic,
     validate,
 )
 
 
-class TestCompareKeys:
-    def test_smaller_n_wins(self):
-        assert compare_keys(SolutionKey(2, 2), SolutionKey(5, 3)) == -1
-
-    def test_equal_n_compares_r(self):
-        assert compare_keys(SolutionKey(5, 3), SolutionKey(5, 2)) == 1
-
-    def test_reflexive_equal(self):
-        assert compare_keys(SolutionKey(15, 4), SolutionKey(15, 4)) == 0
-
+class TestSolutionKeyOrder:
     def test_matches_lexicographic_order_exhaustively(self):
+        # MemoStore keeps its keys in this order: by n, ties broken by r.
         # Equivalence with tuple comparison implies a total order
         # (antisymmetry, transitivity, trichotomy) for free.
         keys = [SolutionKey(n, r) for n in range(2, 51) for r in range(2, n + 1)]
         for a in keys:
             for b in keys:
-                expected = ((a.n, a.r) > (b.n, b.r)) - ((a.n, a.r) < (b.n, b.r))
-                assert compare_keys(a, b) == expected
+                assert (a < b) == ((a.n, a.r) < (b.n, b.r))
+                assert (a == b) == ((a.n, a.r) == (b.n, b.r))
 
 
 class TestValidate:

@@ -7,7 +7,7 @@ from espsolver.exceptional import (
     is_sophie_germain,
     scan_exceptional,
 )
-from espsolver.solver import MemoStore, calc_solution
+from espsolver.solver import MemoStore, calc_solution, reference_solution
 
 KNOWN_EXCEPTIONAL = [2, 3, 4, 6, 24, 114, 174, 444]
 
@@ -73,7 +73,7 @@ class TestIsExceptional:
     def test_agrees_with_full_solver(self):
         memo = MemoStore()
         for n in range(2, 2001):
-            sols = calc_solution(n, memo)
+            sols = reference_solution(n, memo)
             full_verdict = len(sols) == 1 and is_basic(next(iter(sols)))
             assert is_exceptional(n) == full_verdict, n
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espsolver.core import (
     DomainError,
@@ -9,13 +11,16 @@ from espsolver.core import (
     is_basic,
     validate,
 )
-from espsolver.oracle import brute_force_solutions
+from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
 from espsolver.solver import (
+    MAX_SOLVE_N,
     MemoStore,
     calc_shell,
     calc_solution,
     extend_candidate,
     j_bounds,
+    reference_solution,
+    walk_shell,
 )
 
 
@@ -183,6 +188,58 @@ class TestCalcSolution:
 
     def test_j_order_independence(self):
         for n in range(2, 65):
-            asc = calc_solution(n, MemoStore(), j_descending=False)
-            desc = calc_solution(n, MemoStore(), j_descending=True)
+            asc = reference_solution(n, MemoStore(), j_descending=False)
+            desc = reference_solution(n, MemoStore(), j_descending=True)
             assert asc == desc, n
+
+    def test_rejects_n_above_limit(self):
+        with pytest.raises(DomainError):
+            calc_solution(MAX_SOLVE_N + 1)
+
+    def test_caches_only_s2(self):
+        memo = MemoStore()
+        calc_solution(24, memo)
+        assert memo.keys() == [SolutionKey(24, 2)]
+
+
+class TestWalkShell:
+    @pytest.mark.parametrize(
+        "n,r,expected",
+        [
+            (5, 3, [Solution((2, 2, 2), 2)]),
+            (12, 4, [Solution((2, 2, 2, 2), 8)]),
+            (15, 3, []),
+            (4, 3, []),
+            (2, 3, []),
+        ],
+    )
+    def test_golden_shells(self, n, r, expected):
+        assert list(walk_shell(n, r)) == expected
+
+    def test_rejects_r_below_3(self):
+        with pytest.raises(DomainError):
+            next(walk_shell(10, 2))
+
+    @given(st.integers(min_value=2, max_value=100_000), st.data())
+    def test_ascending_distinct_and_valid(self, n, data):
+        r = data.draw(st.integers(min_value=3, max_value=n.bit_length() + 2), label="r")
+        shell = list(walk_shell(n, r))
+        assert [s.nonunit for s in shell] == sorted({s.nonunit for s in shell})
+        assert all(validate(s) and s.n == n and s.r == r for s in shell)
+
+
+class TestEngineAgreement:
+    """The walk against engines that do not use it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=700))
+    def test_matches_recursion(self, n):
+        assert calc_solution(n) == reference_solution(n)
+
+    @given(st.integers(min_value=2, max_value=64))
+    def test_matches_brute_force(self, n):
+        assert calc_solution(n) == brute_force_solutions(n)
+
+    @given(st.integers(min_value=2, max_value=8))
+    def test_matches_exhaustive_tiny(self, n):
+        assert calc_solution(n) == exhaustive_tiny_solutions(n)
