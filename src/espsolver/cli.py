@@ -62,7 +62,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         values = " ".join(map(str, report.exceptional)) or "(none)"
         print(f"exceptional: {values}")
-        print(f"candidates tested: {report.sg_candidates}")
+        print(f"Sophie Germain candidates: {report.sg_candidates}")
+        print(f"walked: {report.walked}")
         print(f"elapsed: {report.elapsed_ms:.1f} ms")
     return 0
 

@@ -6,6 +6,7 @@ import pytest
 from espsolver import exceptional
 from espsolver.cli import main
 from espsolver.core import Solution
+from espsolver.exceptional import MAX_SCAN_HI
 from espsolver.solver import MAX_SOLVE_N, calc_solution
 
 
@@ -100,6 +101,22 @@ class TestScan:
     def test_scan_workers_below_one(self, capsys, workers):
         assert main(["scan", "2", "100", "--workers", workers]) == 2
         assert "workers" in capsys.readouterr().err
+
+    def test_scan_text_counts(self, capsys):
+        assert main(["scan", "2", "1000", "--sg-filter"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "Sophie Germain candidates: 38" in out
+        assert "walked: 8" in out
+
+    def test_scan_json_walked(self, capsys):
+        assert main(["scan", "2", "1000", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["walked"] >= len(doc["exceptional"]) == 8
+
+    @pytest.mark.parametrize("hi", [MAX_SCAN_HI + 1, 10**18])
+    def test_scan_above_limit_domain_error(self, capsys, hi):
+        assert main(["scan", "2", str(hi)]) == 2
+        assert str(MAX_SCAN_HI) in capsys.readouterr().err
 
 
 class FakePool:

@@ -1,7 +1,14 @@
-import pytest
+import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli import FakePool
+
+from espsolver import exceptional
 from espsolver.core import DomainError, Solution, SolutionKey, is_basic
 from espsolver.exceptional import (
+    MAX_SCAN_HI,
     find_first_nonbasic,
     is_exceptional,
     is_sophie_germain,
@@ -119,3 +126,71 @@ class TestScan:
         for n in report.exceptional:
             if n > 2:
                 assert is_sophie_germain(n - 1)
+
+    def test_walked_pinned(self):
+        # Below 1000 the sieve leaves only the exceptional values to the walk.
+        report = scan_exceptional(2, 1000)
+        assert report.walked == 8
+        assert report.as_dict()["walked"] == 8
+        # Above that the filter leaves fewer n to walk than n-1 prime alone.
+        assert scan_exceptional(2, 100_000, use_sg_filter=True).walked == 25
+        assert scan_exceptional(2, 100_000, use_sg_filter=False).walked == 31
+
+    def test_domain_limit(self):
+        assert scan_exceptional(MAX_SCAN_HI, MAX_SCAN_HI).exceptional == []
+        with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
+            scan_exceptional(MAX_SCAN_HI - 10, MAX_SCAN_HI + 1)
+
+
+def per_n(lo, hi):
+    """The exceptional n in [lo, hi] and the Sophie Germain count, n by n."""
+    found = [n for n in range(lo, hi + 1) if find_first_nonbasic(n) is None]
+    sg = sum(1 for n in range(lo, hi + 1) if n == 2 or is_sophie_germain(n - 1))
+    return found, sg
+
+
+def scanned(lo, hi, use_sg_filter):
+    report = scan_exceptional(lo, hi, use_sg_filter)
+    return report.exceptional, report.sg_candidates
+
+
+class TestSieveAgainstWalk:
+    """The segmented sieve against `find_first_nonbasic` run on every n."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=200_000),
+        st.integers(min_value=0, max_value=800),
+        st.booleans(),
+    )
+    def test_random_windows(self, lo, width, use_sg_filter):
+        assert scanned(lo, lo + width, use_sg_filter) == per_n(lo, lo + width)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(2, 2), (3, 3), (444, 444), (445, 445), (2, 700), (99_990, 100_300)]
+    )
+    @pytest.mark.parametrize("use_sg_filter", [True, False])
+    def test_small_segments(self, monkeypatch, lo, hi, use_sg_filter):
+        monkeypatch.setattr(exceptional, "SEGMENT", 7)
+        assert scanned(lo, hi, use_sg_filter) == per_n(lo, hi)
+
+    @pytest.mark.parametrize("lo", [29_998_000, 30_000_000, 30_517_000])
+    def test_windows_near_3e7(self, lo):
+        expected = per_n(lo, lo + 3000)
+        assert scanned(lo, lo + 3000, True) == scanned(lo, lo + 3000, False) == expected
+
+    @pytest.mark.parametrize("lo,hi", [(2, 3), (2, 5000), (400, 470), (10**6, 10**6 + 2000)])
+    @pytest.mark.parametrize("use_sg_filter", [True, False])
+    def test_two_workers_match_one(self, monkeypatch, lo, hi, use_sg_filter):
+        FakePool.sizes = []
+        monkeypatch.setattr(exceptional, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(exceptional, "SEGMENT", 1000)
+        pooled = scan_exceptional(lo, hi, use_sg_filter, workers=2)
+        assert FakePool.sizes == [2]
+        solo = scan_exceptional(lo, hi, use_sg_filter, workers=1)
+        assert (pooled.exceptional, pooled.sg_candidates, pooled.walked) == (
+            solo.exceptional,
+            solo.sg_candidates,
+            solo.walked,
+        )
