@@ -17,11 +17,18 @@ steps by p*x - 1 (y -> y + 1).  Two cases of it are prime conditions:
   (2, x, y) whenever 2n-1 is composite.  For n > 2 to be exceptional,
   n-1 must therefore be a Sophie Germain prime.
 
-`scan_exceptional` works segment by segment.  A segmented Eratosthenes
-sieve flags the n with n-1 prime (n = 2 included: n-1 = 1) and the n with
-2n-1 prime; the first flags are the live n, and with the Sophie Germain
-filter on, a live n needs both.  Every progression with step
-p*x - 1 <= MAX_STEP then clears the n it hits, each of which has a proven
+`scan_exceptional` works segment by segment, and apart from n = 2, 3, 4
+it looks only at the n = 6k.  For n >= 5 with n-1 prime, n-1 is a prime
+other than 2 and 3, so n is even and n != 1 (mod 3).  If n = 2 (mod 3),
+then 3 divides 2n-1 > 3, so n-1 is no Sophie Germain prime, and the
+progression of step 3 from n = 5 (solution (2, 2, 2)) clears n.  So every
+n >= 5 that is live, or counted as a Sophie Germain candidate, is a
+multiple of 6.  Per segment, a sieve of Eratosthenes over k flags the k
+with 6k-1 prime (the live n = 6k) and the k with 12k-1 prime (2n-1 prime,
+which the Sophie Germain filter also requires).  Its base primes q >= 5
+are cached once per process, each with the k at which q divides 6k-1 and
+12k-1.  Every progression with step p*x - 1 <= MAX_STEP, mapped onto the
+k once at import, then clears the n it hits, each of which has a proven
 non-basic solution.  What is left is decided by `find_first_nonbasic`,
 which stops at the first non-basic solution that the solver's
 product-bounded walk (`solver.walk_shell`) yields.  Clearing and walking
@@ -32,11 +39,12 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 
 from .base_sets import is_prime
 from .core import DomainError, Solution, is_basic
@@ -48,8 +56,8 @@ MAX_STEP = 128
 # of work handed to each worker.
 SEGMENT = 1 << 16
 # Largest hi `scan_exceptional` accepts. A 3000-wide window there takes
-# 0.1-0.2 s; the base primes, and each segment's pass over them, grow like
-# sqrt(hi).
+# ~0.04 s once the process has cached the base primes, which takes ~0.1 s
+# the first time; both grow like sqrt(hi).
 MAX_SCAN_HI = 10**12
 
 
@@ -114,10 +122,12 @@ class ScanReport:
 
 
 def _progressions(max_step: int) -> tuple[tuple[int, int], ...]:
-    """(step, first n) of the r >= 3 progressions with step <= max_step.
+    """(step, first k) of the r >= 3 progressions with step <= max_step,
+    restricted to the n = 6k.
 
-    Progressions that share a step and a residue class are merged into the
-    one that starts first, which hits all the n the others hit.
+    A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
+    one class modulo d / gcd(d, 6), or for no k.  Progressions that share
+    that step and class are merged into the one that starts first.
     """
     first: dict[tuple[int, int], int] = {}
 
@@ -126,63 +136,105 @@ def _progressions(max_step: int) -> tuple[tuple[int, int], ...]:
         x = lo
         while p * x - 1 <= max_step:
             if r >= 3:
-                step, n0 = p * x - 1, p * x * x - s - 2 * x + r
-                key = (step, n0 % step)
-                first[key] = min(first.get(key, n0), n0)
+                d, n0 = p * x - 1, p * x * x - s - 2 * x + r
+                g = gcd(d, 6)
+                if n0 % g == 0:
+                    # 6k = n0 (mod d) exactly for k = res (mod step)
+                    step = d // g
+                    res = n0 // g * pow(6 // g, -1, step) % step
+                    k = -(-n0 // 6)
+                    k += (res - k) % step
+                    first[step, res] = min(first.get((step, res), k), k)
             if p * x * x - 1 <= max_step:
                 extend(p * x, s + x, r + 1, x)
             x += 1
 
     extend(1, 0, 2, 2)
-    return tuple(sorted((step, n0) for (step, _), n0 in first.items()))
+    return tuple(sorted((step, k) for (step, _), k in first.items()))
 
 
 _PROGRESSIONS = _progressions(MAX_STEP)
 
-
-def _primes_upto(m: int) -> list[int]:
-    """The primes <= m, by a sieve of Eratosthenes."""
-    flags = bytearray(b"\x01") * (m + 1)
-    flags[:2] = bytes(min(2, m + 1))
-    for q in range(2, isqrt(m) + 1):
-        if flags[q]:
-            _clear(flags, q * q, q)
-    return list(compress(range(m + 1), flags))
+# The sieve's base primes q >= 5, the bound they are complete to, and for
+# each q the k with 6k = 1 and with 12k = 1 (mod q): the n = 6k at which q
+# divides n-1 and 2n-1.  One cache per process, grown by `_base_primes`;
+# 32-bit arrays keep it near 1.3 MB at MAX_SCAN_HI.
+_BASE: tuple[int, array, array, array] = (0, array("i"), array("i"), array("i"))
 
 
-def _clear(flags: bytearray, start: int, step: int) -> None:
-    """Zero flags[start], flags[start + step], ... to the end."""
-    if start < len(flags):
-        flags[start::step] = bytes((len(flags) - 1 - start) // step + 1)
+def _base_primes(m: int) -> tuple[array, array, array]:
+    """The cached base primes, with their two k-residues, holding every
+    prime 5 <= q <= m.
+
+    A larger m re-sieves the cache to at least twice its bound, but never
+    past isqrt(2 * MAX_SCAN_HI) unless m asks for it.
+    """
+    global _BASE
+    limit, qs, r6, r12 = _BASE
+    if limit < m:
+        limit = max(m, min(2 * limit, isqrt(2 * MAX_SCAN_HI)))
+        flags = bytearray(b"\x01") * (limit + 1)
+        for q in range(2, isqrt(limit) + 1):
+            if flags[q]:
+                flags[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+        qs = array("i", compress(range(5, limit + 1), flags[5:]))
+        r6 = array("i", (((6 - q % 6) * q + 1) // 6 for q in qs))
+        r12 = array("i", (((12 - q % 12) * q + 1) // 12 for q in qs))
+        _BASE = limit, qs, r6, r12
+    return qs, r6, r12
+
+
+def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]:
+    """Flags of 6k-1 prime and of 12k-1 prime, for k = k0 ... k0 + size - 1,
+    k0 >= 1.  `zeros` holds at least `size` zero bytes."""
+    top = isqrt(12 * (k0 + size) - 13)
+    qs, r6, r12 = _base_primes(top)
+    count = bisect_right(qs, top)
+    few = bisect_left(qs, size, 0, count)  # from qs[few] on, one hit at most
+    shell2 = bytearray(b"\x01") * size
+    germain = bytearray(b"\x01") * size
+    for flags, res in ((shell2, r6), (germain, r12)):
+        for q, r in zip(qs[:few], res):
+            i = (r - k0) % q
+            flags[i::q] = zeros[: (size - 1 - i) // q + 1]
+        hits = [i for q, r in zip(qs[few:count], res[few:count]) if (i := (r - k0) % q) < size]
+        for i in hits:
+            flags[i] = 0
+    # a base prime that is itself some 6k-1 or 12k-1 here was cleared with
+    # its multiples: set its flag back
+    for q in qs[bisect_left(qs, 6 * k0 - 1, 0, count) : count]:
+        k = (q + 1) // 6 - k0
+        if q % 6 == 5 and k < size:
+            shell2[k] = 1
+        k = (q + 1) // 12 - k0
+        if q % 12 == 11 and 0 <= k < size:
+            germain[k] = 1
+    return shell2, germain
 
 
 def _scan_segment(
-    bounds: tuple[int, int], use_sg_filter: bool, primes: list[int]
+    bounds: tuple[int, int], use_sg_filter: bool
 ) -> tuple[list[int], int, int]:
     """Scan [a, b]: the exceptional n, the Sophie Germain count, and how many
-    n the walk decided.  `primes` must hold every prime <= isqrt(2b)."""
+    n the walk decided."""
     a, b = bounds
-    size = b - a + 1
-    shell2 = bytearray(b"\x01") * size  # n-1 is 1 or prime, for n = a + i
-    germain = bytearray(b"\x01") * size  # 2n-1 is prime
-    for q in primes:
-        qq = q * q
-        if qq > 2 * b - 1:
-            break
-        # n-1 is a multiple of q from q^2 on
-        _clear(shell2, qq - a + 1 if qq >= a - 1 else (1 - a) % q, q)
-        if q > 2:
-            # 2n-1 is an odd multiple of q from q^2 on: n = (q^2+1)/2 + kq
-            n = (qq + 1) // 2
-            _clear(germain, n - a if n >= a else (n - a) % q, q)
-    # the flags are bytes of 0 or 1, so each n flagged in both is one bit
-    both = int.from_bytes(shell2, "little") & int.from_bytes(germain, "little")
-    sg_count = both.bit_count()
-    for step, n0 in _PROGRESSIONS:
-        _clear(shell2, n0 - a if n0 >= a else (n0 - a) % step, step)
-    survivors = list(compress(range(a, b + 1), shell2))
-    if use_sg_filter:
-        survivors = [n for n in survivors if germain[n - a]]
+    # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
+    survivors = [n for n in (2, 3, 4) if a <= n <= b]
+    sg_count = len(survivors)
+    k0 = (max(a, 6) + 5) // 6
+    size = b // 6 - k0 + 1
+    if size > 0:
+        zeros = memoryview(bytes(size))
+        shell2, germain = _sieve(k0, size, zeros)
+        sg = int.from_bytes(germain, "little")
+        sg_count += (int.from_bytes(shell2, "little") & sg).bit_count()
+        for step, k in _PROGRESSIONS:
+            i = k - k0 if k >= k0 else (k - k0) % step
+            if i < size:
+                shell2[i::step] = zeros[: (size - 1 - i) // step + 1]
+        if use_sg_filter:
+            shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
+        survivors += compress(range(6 * k0, 6 * (k0 + size), 6), shell2)
     exceptional = [n for n in survivors if find_first_nonbasic(n) is None]
     return exceptional, sg_count, len(survivors)
 
@@ -214,10 +266,11 @@ def scan_exceptional(
     segments = [
         (lo + i * width // count, lo + (i + 1) * width // count - 1) for i in range(count)
     ]
-    task = partial(
-        _scan_segment, use_sg_filter=use_sg_filter, primes=_primes_upto(isqrt(2 * hi))
-    )
+    _base_primes(isqrt(2 * hi))  # forked workers inherit the cache
+    task = partial(_scan_segment, use_sg_filter=use_sg_filter)
     if workers > 1 and count > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(task, segments))
     else:

@@ -1,9 +1,13 @@
+import concurrent.futures
 import json
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
-from espsolver import exceptional
+import espsolver
 from espsolver.cli import main
 from espsolver.core import Solution
 from espsolver.exceptional import MAX_SCAN_HI
@@ -120,9 +124,12 @@ class TestScan:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the pickled
+    size of each mapped function, and runs the function in-process after a
+    pickle round trip, as a worker would receive it."""
 
     sizes: list[int] = []
+    task_bytes: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -134,14 +141,16 @@ class FakePool:
         return False
 
     def map(self, fn, items):
-        return list(map(fn, items))
+        task = pickle.dumps(fn)
+        self.task_bytes.append(len(task))
+        return list(map(pickle.loads(task), items))
 
 
 class TestWorkersCap:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         FakePool.sizes = []
-        monkeypatch.setattr(exceptional, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
 
     @pytest.mark.parametrize("cpus,expected", [(3, [3]), (1, []), (None, [])])
     def test_capped_at_cpu_count(self, capsys, monkeypatch, cpus, expected):
@@ -149,3 +158,24 @@ class TestWorkersCap:
         assert main(["scan", "2", "1000", "--sg-filter", "--workers", "64"]) == 0
         assert "exceptional: 2 3 4 6 24 114 174 444" in capsys.readouterr().out
         assert FakePool.sizes == expected
+
+    def test_task_pickles_small(self, monkeypatch):
+        # A segment task carries the filter flag only; workers build or
+        # inherit the base primes themselves.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        FakePool.task_bytes = []
+        assert main(["scan", str(MAX_SCAN_HI - 3000), str(MAX_SCAN_HI), "--workers", "2"]) == 0
+        assert FakePool.sizes == [2]
+        assert 0 < FakePool.task_bytes[0] < 200
+
+
+def test_import_loads_no_pool_machinery():
+    # concurrent.futures (and multiprocessing, logging) load only when a
+    # scan starts a pool, not with the command-line module.
+    src = os.path.dirname(os.path.dirname(espsolver.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import espsolver.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import pytest
@@ -179,11 +180,48 @@ class TestSieveAgainstWalk:
         expected = per_n(lo, lo + 3000)
         assert scanned(lo, lo + 3000, True) == scanned(lo, lo + 3000, False) == expected
 
+    @pytest.mark.parametrize("use_sg_filter", [True, False])
+    def test_every_range_to_60(self, use_sg_filter):
+        exceptional_n = [n for n in range(2, 61) if find_first_nonbasic(n) is None]
+        germain_n = [n for n in range(2, 61) if n == 2 or is_sophie_germain(n - 1)]
+        for lo in range(2, 61):
+            for hi in range(lo, 61):
+                expected = [n for n in exceptional_n if lo <= n <= hi]
+                sg = sum(1 for n in germain_n if lo <= n <= hi)
+                assert scanned(lo, hi, use_sg_filter) == (expected, sg), (lo, hi)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=10**9, max_value=MAX_SCAN_HI - 300),
+        st.integers(min_value=0, max_value=300),
+        st.booleans(),
+    )
+    def test_high_windows(self, lo, width, use_sg_filter):
+        # No exceptional value is known above 444; the Sophie Germain count
+        # comes from the primality test, not from the sieve.
+        sg = sum(1 for n in range(lo, lo + width + 1) if is_sophie_germain(n - 1))
+        assert scanned(lo, lo + width, use_sg_filter) == ([], sg)
+
+    @pytest.mark.parametrize(
+        "lo,hi,sg,walked_filtered,walked_unfiltered",
+        [
+            (999_999_996_999, 999_999_999_999, 4, 0, 2),
+            (5 * 10**11, 5 * 10**11 + 3000, 8, 0, 0),
+            (10**9, 10**9 + 3000, 5, 1, 1),
+        ],
+    )
+    def test_high_windows_pinned(self, lo, hi, sg, walked_filtered, walked_unfiltered):
+        filtered = scan_exceptional(lo, hi, use_sg_filter=True)
+        unfiltered = scan_exceptional(lo, hi, use_sg_filter=False)
+        assert filtered.exceptional == unfiltered.exceptional == []
+        assert filtered.sg_candidates == unfiltered.sg_candidates == sg
+        assert (filtered.walked, unfiltered.walked) == (walked_filtered, walked_unfiltered)
+
     @pytest.mark.parametrize("lo,hi", [(2, 3), (2, 5000), (400, 470), (10**6, 10**6 + 2000)])
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     def test_two_workers_match_one(self, monkeypatch, lo, hi, use_sg_filter):
         FakePool.sizes = []
-        monkeypatch.setattr(exceptional, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(exceptional, "SEGMENT", 1000)
         pooled = scan_exceptional(lo, hi, use_sg_filter, workers=2)
