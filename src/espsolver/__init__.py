@@ -5,7 +5,6 @@ whose sum equals its product, and searches ranges for exceptional values
 (n whose only such tuple is the basic one).
 """
 
-from .base_sets import build_s2, divisors_up_to_sqrt, is_prime
 from .core import (
     DomainError,
     InvalidSolutionError,
@@ -20,14 +19,15 @@ from .exceptional import (
     ScanReport,
     find_first_nonbasic,
     is_exceptional,
+    is_prime,
     is_sophie_germain,
     scan_exceptional,
 )
 from .oracle import brute_force_solutions
 from .solver import (
     MAX_SOLVE_N,
-    JRange,
     MemoStore,
+    build_s2,
     calc_shell,
     calc_solution,
     extend_candidate,
@@ -39,7 +39,6 @@ from .solver import (
 __all__ = [
     "DomainError",
     "InvalidSolutionError",
-    "JRange",
     "MAX_SOLVE_N",
     "MemoStore",
     "ScanReport",
@@ -51,7 +50,6 @@ __all__ = [
     "calc_shell",
     "calc_solution",
     "common_value",
-    "divisors_up_to_sqrt",
     "extend_candidate",
     "find_first_nonbasic",
     "is_basic",

@@ -16,7 +16,7 @@ import sys
 from . import oracle
 from .core import DomainError, Solution
 from .exceptional import scan_exceptional
-from .solver import MemoStore, calc_solution
+from .solver import calc_solution
 
 
 def _display_order(solutions: set[Solution]) -> list[Solution]:
@@ -44,11 +44,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.nmax <= oracle.MAX_N:
         raise DomainError(f"NMAX must be in [2, {oracle.MAX_N}], got {args.nmax}")
-    memo = MemoStore()
     checked = passed = 0
     for n in range(2, args.nmax + 1):
         checked += 1
-        ok = calc_solution(n, memo) == oracle.brute_force_solutions(n)
+        ok = calc_solution(n) == oracle.brute_force_solutions(n)
         passed += ok
         print(f"n={n}: {'PASS' if ok else 'FAIL'}")
     print(f"{passed}/{checked} PASS")

@@ -49,9 +49,6 @@ class Solution:
         """Number of non-unit components."""
         return len(self.nonunit)
 
-    def key(self) -> SolutionKey:
-        return SolutionKey(self.n, self.r)
-
     def as_text(self) -> str:
         """Canonical display form, components descending: "(15,2;13)"."""
         parts = ",".join(str(x) for x in reversed(self.nonunit))

@@ -41,12 +41,11 @@ import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import compress
 from math import gcd, isqrt
 
-from .base_sets import is_prime
 from .core import DomainError, Solution, is_basic
 from .solver import MemoStore, calc_shell, walk_shell
 
@@ -59,6 +58,37 @@ SEGMENT = 1 << 16
 # ~0.04 s once the process has cached the base primes, which takes ~0.1 s
 # the first time; both grow like sqrt(hi).
 MAX_SCAN_HI = 10**12
+# Witness bases making the strong-pseudoprime test deterministic for all
+# inputs below 3.3 * 10^24, which covers the full 64-bit range; `is_prime`
+# also trial-divides by them first.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic primality test, exact for all m < 2^64."""
+    if m < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if m == p:
+            return True
+        if m % p == 0:
+            return False
+    d = m - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_sophie_germain(p: int) -> bool:
@@ -106,19 +136,13 @@ class ScanReport:
     lo: int
     hi: int
     sg_candidates: int
+    walked: int = 0
     exceptional: list[int] = field(default_factory=list)
     elapsed_ms: float = 0.0
-    walked: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "sg_candidates": self.sg_candidates,
-            "walked": self.walked,
-            "exceptional": self.exceptional,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The fields in declaration order, the key order of `--json`."""
+        return asdict(self)
 
 
 def _progressions(max_step: int) -> tuple[tuple[int, int], ...]:
@@ -279,4 +303,4 @@ def scan_exceptional(
     sg_count = sum(sg for _, sg, _ in parts)
     walked = sum(w for _, _, w in parts)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return ScanReport(lo, hi, sg_count, exceptional, elapsed_ms, walked)
+    return ScanReport(lo, hi, sg_count, walked, exceptional, elapsed_ms)

@@ -1,64 +1,45 @@
 """Construction of the solution sets S_r(n).
 
-The engine, `calc_solution`, takes S_2(n) from the divisor pairs of n-1
-and each S_r(n) for r >= 3 from `walk_shell`, a product-bounded walk over
-ascending components that solves for the largest one. A solve takes
-about 0.1 ms at n = 700, 1 ms at n = 10^4, 20 ms at 10^6 and 1.5 s at
-10^8 (one core, Python 3.11), a little under linear in n at large n, so
-`calc_solution` accepts n up to MAX_SOLVE_N.
+The engine, `calc_solution`, takes every S_r(n), r = 2 ... floor(log2 n)
++ 1, from `walk_shell`, a product-bounded walk over ascending components
+that solves for the largest one; for r = 2 it reads the divisor pairs of
+n-1. A solve takes about 0.1 ms at n = 700, 1 ms at n = 10^4, 20 ms at
+10^6 and 1.5 s at 10^8 (one core, Python 3.11), a little under linear in
+n at large n, so `calc_solution` accepts n up to MAX_SOLVE_N.
 
 The paper's memoized recursion is kept as the reference the engine is
-tested against (`reference_solution`). It builds each S_r(n) for r >= 3
-from the elements of S_{r-1}(r+j) for j in a small integer window: a base
-solution with non-unit sum t extends to an r-component solution exactly
-when (n - r - j) is divisible by (t + j), the new component being
-w = 1 + (n-r-j)/(t+j). Computed sets, empty or not, are cached in a
-MemoStore keyed by (n, r) so shared subproblems are built once. Its cost
-grows like n^2.3 (0.3 s at n = 700, minutes at n = 10^4).
+tested against (`reference_solution`). Its base case S_2(n) is
+`build_s2`, from a trial division of n-1. It builds each S_r(n) for
+r >= 3 from the elements of S_{r-1}(r+j) for j in a small integer
+window: a base solution with non-unit sum t extends to an r-component
+solution exactly when (n - r - j) is divisible by (t + j), the new
+component being w = 1 + (n-r-j)/(t+j). Computed sets, empty or not, are
+cached in a MemoStore keyed by (n, r) so shared subproblems are built
+once. Its cost grows like n^2.3 (0.3 s at n = 700, minutes at n = 10^4).
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import isqrt
 
-from .base_sets import build_s2
 from .core import DomainError, Solution, SolutionKey, SolutionSet
 
 # Largest n `calc_solution` accepts; the walk takes about 1.5 s there.
 MAX_SOLVE_N = 10**8
 
 
-@dataclass(frozen=True)
-class JRange:
-    """The window of unit-count offsets j that can contribute to S_r(n)."""
-
-    j_min: int
-    j_max: int
-
-    @property
-    def empty(self) -> bool:
-        return self.j_min > self.j_max
-
-    def ascending(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    def descending(self) -> range:
-        return range(self.j_max, self.j_min - 1, -1)
-
-
-def j_bounds(n: int, r: int) -> JRange:
-    """Bounds 2^(r-2) - r <= j <= floor((n - 3r + 2) / 2).
+def j_bounds(n: int, r: int) -> range:
+    """The window 2^(r-2) - r <= j <= floor((n - 3r + 2) / 2), ascending.
 
     The floor is toward negative infinity (Python //), which matters when
-    the numerator is negative: (n, r) = (4, 3) gives j_max = -2, an empty
-    window, so S_3(4) is empty without any enumeration.
+    the numerator is negative: (n, r) = (4, 3) gives an upper bound of -2,
+    an empty window, so S_3(4) is empty without any enumeration.
     """
     if r < 3:
         raise DomainError(f"r must be >= 3, got {r}")
-    return JRange(2 ** (r - 2) - r, (n - 3 * r + 2) // 2)
+    return range(2 ** (r - 2) - r, (n - 3 * r + 2) // 2 + 1)
 
 
 def extend_candidate(base: Solution, j: int, n: int, r: int) -> Solution | None:
@@ -122,6 +103,21 @@ class MemoStore:
             yield key, self._entries[key]
 
 
+def build_s2(n: int) -> SolutionSet:
+    """The reference's base case S_2(n), from the divisor pairs of n-1.
+
+    Each divisor d of n-1 with d*d <= n-1, found by trial division, gives
+    the solution (d+1, (n-1)/d + 1; n-2); d = 1 gives the basic one.
+    """
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
+    m = n - 1
+    solutions = frozenset(
+        Solution((d + 1, m // d + 1), n - 2) for d in range(1, isqrt(m) + 1) if m % d == 0
+    )
+    return SolutionSet(SolutionKey(n, 2), solutions)
+
+
 def calc_shell(k: int, r: int, memo: MemoStore, *, j_descending: bool = False) -> SolutionSet:
     """Compute S_r(k), consulting and updating the memo store."""
     if k < 2 or r < 2:
@@ -135,16 +131,14 @@ def calc_shell(k: int, r: int, memo: MemoStore, *, j_descending: bool = False) -
         memo.insert(result)
         return result
     found = set()
-    bounds = j_bounds(k, r)
-    if not bounds.empty:
-        order = bounds.descending() if j_descending else bounds.ascending()
-        for j in order:
-            base_set = calc_shell(j + r, r - 1, memo, j_descending=j_descending)
-            for base in base_set:
-                memo.extend_evaluations += 1
-                extended = extend_candidate(base, j, k, r)
-                if extended is not None:
-                    found.add(extended)
+    window = j_bounds(k, r)
+    for j in reversed(window) if j_descending else window:
+        base_set = calc_shell(j + r, r - 1, memo, j_descending=j_descending)
+        for base in base_set:
+            memo.extend_evaluations += 1
+            extended = extend_candidate(base, j, k, r)
+            if extended is not None:
+                found.add(extended)
     result = SolutionSet(key, frozenset(found))
     memo.insert(result)
     return result
@@ -171,7 +165,7 @@ def reference_solution(
 
 
 def walk_shell(n: int, r: int) -> Iterator[Solution]:
-    """Yield S_r(n) for r >= 3, ascending by non-unit components.
+    """Yield S_r(n) for r >= 2, ascending by non-unit components.
 
     A member has components x_1 <= ... <= x_r >= 2 whose product equals
     their sum plus the n - r units.  The walk extends ascending prefixes
@@ -184,10 +178,12 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
     p*x*w = s + x + w + n - r, so w = (s + x + n - r) / (p*x - 1).  That is
     an integer exactly when d = p*x - 1 divides m = p*(s + n - r) + 1, and
     the bound with L = 2, which is w >= x, reads d <= isqrt(m); so the last
-    level is one remainder per x.
+    level is one remainder per x.  For r = 2 the prefix is empty and the
+    last level reads off the divisors d <= isqrt(n-1) of n-1, so S_2(n)
+    comes out basic solution (d = 1) first.
     """
-    if n < 2 or r < 3:
-        raise DomainError(f"need n >= 2 and r >= 3, got ({n}, {r})")
+    if n < 2 or r < 2:
+        raise DomainError(f"need n >= 2 and r >= 2, got ({n}, {r})")
     units = n - r
 
     def walk(prefix: tuple[int, ...], p: int, s: int, lo: int) -> Iterator[Solution]:
@@ -209,18 +205,17 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
 
 
 def calc_solution(n: int, memo: MemoStore | None = None) -> set[Solution]:
-    """All ESP solutions for n variables, for 2 <= n <= MAX_SOLVE_N.
+    """All ESP solutions for n variables, for 2 <= n <= MAX_SOLVE_N: the
+    union of `walk_shell(n, r)` for r = 2 ... floor(log2 n) + 1.
 
-    S_2(n) comes from the divisor pairs of n-1 and is cached in `memo`;
-    the shells r = 3 ... floor(log2 n) + 1 come from `walk_shell`.
+    `memo` is accepted for callers that pass one and is not used; the walk
+    keeps no state between calls.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if n > MAX_SOLVE_N:
         raise DomainError(f"n must be <= {MAX_SOLVE_N}, got {n}")
-    if memo is None:
-        memo = MemoStore()
-    result = set(calc_shell(n, 2, memo).solutions)
-    for r in range(3, n.bit_length() + 1):
+    result: set[Solution] = set()
+    for r in range(2, n.bit_length() + 1):
         result.update(walk_shell(n, r))
     return result

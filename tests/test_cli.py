@@ -88,6 +88,7 @@ class TestScan:
     def test_scan_json(self, capsys):
         assert main(["scan", "2", "200", "--sg-filter", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["lo", "hi", "sg_candidates", "walked", "exceptional", "elapsed_ms"]
         assert doc["lo"] == 2 and doc["hi"] == 200
         assert doc["exceptional"] == [2, 3, 4, 6, 24, 114, 174]
         assert doc["sg_candidates"] >= len(doc["exceptional"])

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from espsolver import solver
 from espsolver.core import (
     DomainError,
     Solution,
@@ -15,6 +16,7 @@ from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
 from espsolver.solver import (
     MAX_SOLVE_N,
     MemoStore,
+    build_s2,
     calc_shell,
     calc_solution,
     extend_candidate,
@@ -27,19 +29,19 @@ from espsolver.solver import (
 class TestJBounds:
     def test_15_4(self):
         b = j_bounds(15, 4)
-        assert (b.j_min, b.j_max, b.empty) == (0, 2, False)
+        assert (b.start, b.stop, len(b)) == (0, 3, 3)
 
     def test_15_3(self):
         b = j_bounds(15, 3)
-        assert (b.j_min, b.j_max, b.empty) == (-1, 4, False)
+        assert (b.start, b.stop, len(b)) == (-1, 5, 6)
 
     def test_4_3_empty(self):
         b = j_bounds(4, 3)
-        assert (b.j_min, b.j_max, b.empty) == (-1, -2, True)
+        assert (b.start, b.stop, len(b)) == (-1, -1, 0)
 
     def test_floor_toward_negative_infinity(self):
         # (4 - 9 + 2) / 2 = -1.5 must floor to -2, not truncate to -1
-        assert j_bounds(4, 3).j_max == -2
+        assert j_bounds(4, 3).stop - 1 == -2
 
     def test_rejects_small_r(self):
         with pytest.raises(DomainError):
@@ -47,8 +49,8 @@ class TestJBounds:
 
     def test_iteration_orders(self):
         b = j_bounds(15, 3)
-        assert list(b.ascending()) == [-1, 0, 1, 2, 3, 4]
-        assert list(b.descending()) == [4, 3, 2, 1, 0, -1]
+        assert list(b) == [-1, 0, 1, 2, 3, 4]
+        assert list(reversed(b)) == [4, 3, 2, 1, 0, -1]
 
 
 class TestExtendCandidate:
@@ -196,10 +198,14 @@ class TestCalcSolution:
         with pytest.raises(DomainError):
             calc_solution(MAX_SOLVE_N + 1)
 
-    def test_caches_only_s2(self):
-        memo = MemoStore()
-        calc_solution(24, memo)
-        assert memo.keys() == [SolutionKey(24, 2)]
+    def test_independent_of_the_reference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine reached the reference recursion")
+
+        for name in ("calc_shell", "build_s2", "MemoStore"):
+            monkeypatch.setattr(solver, name, refuse)
+        for n in range(2, 65):
+            assert calc_solution(n) == brute_force_solutions(n), n
 
 
 class TestWalkShell:
@@ -216,13 +222,29 @@ class TestWalkShell:
     def test_golden_shells(self, n, r, expected):
         assert list(walk_shell(n, r)) == expected
 
-    def test_rejects_r_below_3(self):
+    def test_rejects_r_below_2(self):
         with pytest.raises(DomainError):
-            next(walk_shell(10, 2))
+            next(walk_shell(10, 1))
+
+    @staticmethod
+    def assert_s2_is_the_reference_base_case(n):
+        # ascending and distinct, basic solution first, equal to build_s2
+        shell = list(walk_shell(n, 2))
+        assert shell[0] == Solution(tuple(sorted((2, n))), n - 2), n
+        assert [s.nonunit for s in shell] == sorted({s.nonunit for s in shell}), n
+        assert set(shell) == build_s2(n).solutions, n
+
+    def test_s2_is_the_reference_base_case(self):
+        for n in range(2, 10_001):
+            self.assert_s2_is_the_reference_base_case(n)
+
+    @given(st.integers(min_value=2, max_value=MAX_SOLVE_N))
+    def test_s2_matches_build_s2(self, n):
+        self.assert_s2_is_the_reference_base_case(n)
 
     @given(st.integers(min_value=2, max_value=100_000), st.data())
     def test_ascending_distinct_and_valid(self, n, data):
-        r = data.draw(st.integers(min_value=3, max_value=n.bit_length() + 2), label="r")
+        r = data.draw(st.integers(min_value=2, max_value=n.bit_length() + 2), label="r")
         shell = list(walk_shell(n, r))
         assert [s.nonunit for s in shell] == sorted({s.nonunit for s in shell})
         assert all(validate(s) and s.n == n and s.r == r for s in shell)
