@@ -9,8 +9,6 @@ from .core import (
     DomainError,
     InvalidSolutionError,
     Solution,
-    SolutionKey,
-    SolutionSet,
     common_value,
     is_basic,
     validate,
@@ -19,44 +17,26 @@ from .exceptional import (
     ScanReport,
     find_first_nonbasic,
     is_exceptional,
-    is_prime,
     is_sophie_germain,
     scan_exceptional,
 )
 from .oracle import brute_force_solutions
-from .solver import (
-    MAX_SOLVE_N,
-    MemoStore,
-    build_s2,
-    calc_shell,
-    calc_solution,
-    extend_candidate,
-    j_bounds,
-    reference_solution,
-    walk_shell,
-)
+from .reference import reference_solution
+from .solver import MAX_SOLVE_N, calc_solution, walk_shell
 
 __all__ = [
     "DomainError",
     "InvalidSolutionError",
     "MAX_SOLVE_N",
-    "MemoStore",
     "ScanReport",
     "Solution",
-    "SolutionKey",
-    "SolutionSet",
     "brute_force_solutions",
-    "build_s2",
-    "calc_shell",
     "calc_solution",
     "common_value",
-    "extend_candidate",
     "find_first_nonbasic",
     "is_basic",
     "is_exceptional",
-    "is_prime",
     "is_sophie_germain",
-    "j_bounds",
     "reference_solution",
     "scan_exceptional",
     "validate",

@@ -20,8 +20,8 @@ from .solver import calc_solution
 
 
 def _display_order(solutions: set[Solution]) -> list[Solution]:
-    # Group by r descending, then by components descending, matching the
-    # shell order r = m+1 ... 2 of the solver.
+    # Group by r descending, then by components descending: the paper's
+    # order, in which its recursion lists the shells r = m+1 ... 2.
     return sorted(
         solutions, key=lambda s: (s.r, tuple(reversed(s.nonunit))), reverse=True
     )

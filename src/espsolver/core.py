@@ -19,15 +19,6 @@ class InvalidSolutionError(ValueError):
     """A Solution value does not satisfy the ESP identity or shape rules."""
 
 
-@dataclass(frozen=True, order=True)
-class SolutionKey:
-    """Identifies the set of solutions with tuple length n and r non-unit
-    components.  Ordered by n first, then r (dataclass field order)."""
-
-    n: int
-    r: int
-
-
 @dataclass(frozen=True)
 class Solution:
     """An ESP solution: non-unit components (ascending) plus a unit count.
@@ -101,24 +92,3 @@ def is_basic(s: Solution) -> bool:
         raise InvalidSolutionError(f"not a valid ESP solution: {s}")
     n = s.n
     return s.nonunit == tuple(sorted((2, n)))
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """The (possibly empty) set of solutions for one (n, r) key."""
-
-    key: SolutionKey
-    solutions: frozenset[Solution]
-
-    def __post_init__(self):
-        for s in self.solutions:
-            if s.r != self.key.r or s.n != self.key.n:
-                raise InvalidSolutionError(
-                    f"solution {s} does not belong to key {self.key}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __iter__(self):
-        return iter(self.solutions)

@@ -33,6 +33,7 @@ non-basic solution.  What is left is decided by `find_first_nonbasic`,
 which stops at the first non-basic solution that the solver's
 product-bounded walk (`solver.walk_shell`) yields.  Clearing and walking
 are both exact, so the answer does not depend on MAX_STEP or SEGMENT.
+`is_exceptional` checks one n the same way, for n <= MAX_SCAN_HI.
 """
 
 from __future__ import annotations
@@ -46,17 +47,20 @@ from functools import partial
 from itertools import compress
 from math import gcd, isqrt
 
-from .core import DomainError, Solution, is_basic
-from .solver import MemoStore, calc_shell, walk_shell
+from .core import DomainError, Solution
+
+# Re-exported only for bench/tracing.py; see the note in `solver`.
+from .reference import MemoStore, calc_shell  # noqa: F401
+from .solver import walk_shell
 
 # Progressions with a larger step are left to the per-n walk.
 MAX_STEP = 128
 # Width of one sieve segment: bounds the memory of a scan and is the unit
 # of work handed to each worker.
 SEGMENT = 1 << 16
-# Largest hi `scan_exceptional` accepts. A 3000-wide window there takes
-# ~0.04 s once the process has cached the base primes, which takes ~0.1 s
-# the first time; both grow like sqrt(hi).
+# Largest hi `scan_exceptional` accepts and largest n `find_first_nonbasic`
+# checks. A 3000-wide window there takes ~0.04 s once the base primes are
+# cached, which takes ~0.1 s the first time; both grow like sqrt(hi).
 MAX_SCAN_HI = 10**12
 # Witness bases making the strong-pseudoprime test deterministic for all
 # inputs below 3.3 * 10^24, which covers the full 64-bit range; `is_prime`
@@ -96,23 +100,22 @@ def is_sophie_germain(p: int) -> bool:
     return is_prime(p) and is_prime(2 * p + 1)
 
 
-def find_first_nonbasic(n: int, memo: MemoStore | None = None) -> Solution | None:
-    """Return some non-basic ESP solution for n variables, or None.
+def find_first_nonbasic(n: int) -> Solution | None:
+    """Return some non-basic ESP solution for n variables, or None, for
+    2 <= n <= MAX_SCAN_HI.
 
-    When n-1 is composite, S_2(n) has a second element, and the smallest
-    one is returned without touching a higher shell.  When n = 2 or n-1 is
-    prime, S_2(n) holds only the basic solution, so the answer is the
-    first member `walk_shell` finds in r = 3, 4, ..., floor(log2 n) + 1.
+    When n-1 is composite, the smallest non-basic member of S_2(n) is the
+    second item of `walk_shell(n, 2)`.  Otherwise (n = 2, or n-1 prime,
+    which `is_prime` settles far faster than the walk) S_2(n) holds only
+    the basic solution, and the answer is the first member `walk_shell`
+    finds in r = 3, 4, ..., floor(log2 n) + 1.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= MAX_SCAN_HI:
+        raise DomainError(f"n must be in [2, {MAX_SCAN_HI}], got {n}")
     if n > 2 and not is_prime(n - 1):
-        if memo is None:
-            memo = MemoStore()
-        s2 = calc_shell(n, 2, memo)
-        return min(
-            (s for s in s2 if not is_basic(s)), key=lambda s: s.nonunit, default=None
-        )
+        shell = walk_shell(n, 2)
+        next(shell)  # the basic solution comes first
+        return next(shell)
     for r in range(3, n.bit_length() + 1):
         hit = next(walk_shell(n, r), None)
         if hit is not None:
@@ -120,9 +123,9 @@ def find_first_nonbasic(n: int, memo: MemoStore | None = None) -> Solution | Non
     return None
 
 
-def is_exceptional(n: int, memo: MemoStore | None = None) -> bool:
-    """True iff the basic solution is the only ESP solution for n."""
-    return find_first_nonbasic(n, memo) is None
+def is_exceptional(n: int) -> bool:
+    """True iff the basic solution is the only ESP solution for n <= MAX_SCAN_HI."""
+    return find_first_nonbasic(n) is None
 
 
 @dataclass

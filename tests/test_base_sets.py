@@ -1,8 +1,8 @@
 import pytest
 
-from espsolver.core import DomainError, Solution, SolutionKey, validate
+from espsolver.core import DomainError, Solution, validate
 from espsolver.exceptional import is_prime
-from espsolver.solver import build_s2
+from espsolver.reference import SolutionKey, build_s2
 
 
 def naive_tau(m: int) -> int:

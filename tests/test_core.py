@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from espsolver.core import (
-    InvalidSolutionError,
-    Solution,
-    SolutionKey,
-    SolutionSet,
-    common_value,
-    is_basic,
-    validate,
-)
+from espsolver.core import InvalidSolutionError, Solution, common_value, is_basic, validate
+from espsolver.reference import SolutionKey, SolutionSet
 
 
 class TestSolutionKeyOrder:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli import FakePool
+from test_solver import refuse_the_reference
 
 from espsolver import exceptional
-from espsolver.core import DomainError, Solution, SolutionKey, is_basic
+from espsolver.core import DomainError, Solution, is_basic
 from espsolver.exceptional import (
     MAX_SCAN_HI,
     find_first_nonbasic,
@@ -15,7 +16,8 @@ from espsolver.exceptional import (
     is_sophie_germain,
     scan_exceptional,
 )
-from espsolver.solver import MemoStore, calc_shell, calc_solution, reference_solution
+from espsolver.reference import MemoStore, calc_shell, reference_solution
+from espsolver.solver import calc_solution, walk_shell
 
 KNOWN_EXCEPTIONAL = [2, 3, 4, 6, 24, 114, 174, 444]
 
@@ -44,12 +46,31 @@ class TestFindFirstNonbasic:
         with pytest.raises(DomainError):
             find_first_nonbasic(1)
 
-    def test_short_circuits_on_composite_n_minus_1(self):
-        # 15 is composite, so S_2(16) already has a second element and no
-        # higher shell may be touched: only the (16, 2) set enters the memo.
-        memo = MemoStore()
-        assert find_first_nonbasic(16, memo) is not None
-        assert memo.keys() == [SolutionKey(16, 2)]
+    def test_short_circuits_on_composite_n_minus_1(self, monkeypatch):
+        # n-1 is composite, so S_2(n) already has a second element and no
+        # higher shell may be walked.
+        walked_r = []
+
+        def recording_walk(n, r):
+            walked_r.append(r)
+            return walk_shell(n, r)
+
+        monkeypatch.setattr(exceptional, "walk_shell", recording_walk)
+        for n in (16, 10**12):
+            walked_r.clear()
+            assert find_first_nonbasic(n) is not None
+            assert walked_r == [2], n
+
+    def test_second_member_of_s2_near_the_limit(self):
+        # 10^12 - 1 = 3 * 333333333333: the smallest divisor above 1 is 3
+        assert find_first_nonbasic(10**12) == Solution((4, 333333333334), 10**12 - 2)
+
+    def test_domain_limit(self):
+        assert find_first_nonbasic(MAX_SCAN_HI) is not None
+        assert not is_exceptional(MAX_SCAN_HI)
+        for check in (find_first_nonbasic, is_exceptional):
+            with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
+                check(MAX_SCAN_HI + 1)
 
     def test_result_is_genuine_solution(self):
         memo = MemoStore()
@@ -89,6 +110,13 @@ class TestIsExceptional:
                 sols = reference_solution(n, memo)
             full_verdict = len(sols) == 1 and is_basic(next(iter(sols)))
             assert is_exceptional(n) == full_verdict, n
+
+    def test_independent_of_the_reference(self, monkeypatch):
+        refuse_the_reference(monkeypatch)
+        assert [n for n in range(2, 3001) if is_exceptional(n)] == KNOWN_EXCEPTIONAL
+        for use_sg_filter in (True, False):
+            report = scan_exceptional(2, 2000, use_sg_filter)
+            assert report.exceptional == KNOWN_EXCEPTIONAL
 
 
 class TestScan:

@@ -2,28 +2,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espsolver import solver
-from espsolver.core import (
-    DomainError,
-    Solution,
+from espsolver import exceptional, reference, solver
+from espsolver.core import DomainError, Solution, common_value, is_basic, validate
+from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
+from espsolver.reference import (
+    MemoStore,
     SolutionKey,
     SolutionSet,
-    common_value,
-    is_basic,
-    validate,
-)
-from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
-from espsolver.solver import (
-    MAX_SOLVE_N,
-    MemoStore,
     build_s2,
     calc_shell,
-    calc_solution,
     extend_candidate,
     j_bounds,
     reference_solution,
-    walk_shell,
 )
+from espsolver.solver import MAX_SOLVE_N, calc_solution, walk_shell
+
+
+def refuse_the_reference(monkeypatch):
+    """Make the recursion's entry points raise, in `reference` and in the
+    modules that re-export them, so any engine call into it fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine reached the reference recursion")
+
+    for module in (reference, solver, exceptional):
+        for name in ("calc_shell", "build_s2", "MemoStore"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 class TestJBounds:
@@ -199,11 +204,7 @@ class TestCalcSolution:
             calc_solution(MAX_SOLVE_N + 1)
 
     def test_independent_of_the_reference(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the engine reached the reference recursion")
-
-        for name in ("calc_shell", "build_s2", "MemoStore"):
-            monkeypatch.setattr(solver, name, refuse)
+        refuse_the_reference(monkeypatch)
         for n in range(2, 65):
             assert calc_solution(n) == brute_force_solutions(n), n
 
