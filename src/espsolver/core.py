@@ -8,7 +8,7 @@ sorted non-unit components plus a count of 1-components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class DomainError(ValueError):
@@ -19,16 +19,18 @@ class InvalidSolutionError(ValueError):
     """A Solution value does not satisfy the ESP identity or shape rules."""
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(namedtuple("Solution", "nonunit units")):
     """An ESP solution: non-unit components (ascending) plus a unit count.
 
     (2, 15) with 13 units represents the 15-tuple 1^13, 2, 15 and renders
     as "(15,2;13)".
+
+    It is a tuple (nonunit, units): immutable, hashed and compared in C,
+    iterable and ordered like a tuple, with len(s) == 2, and equal to the
+    plain tuple ((2, 15), 13).
     """
 
-    nonunit: tuple[int, ...]
-    units: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -42,7 +42,6 @@ import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import compress
 from math import gcd, isqrt
@@ -128,7 +127,6 @@ def is_exceptional(n: int) -> bool:
     return find_first_nonbasic(n) is None
 
 
-@dataclass
 class ScanReport:
     """Outcome of an exceptional-value scan over [lo, hi].
 
@@ -136,16 +134,46 @@ class ScanReport:
     `walked` counts the n left to `find_first_nonbasic` after the sieve.
     """
 
-    lo: int
-    hi: int
-    sg_candidates: int
-    walked: int = 0
-    exceptional: list[int] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    __slots__ = ("lo", "hi", "sg_candidates", "walked", "exceptional", "elapsed_ms")
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        sg_candidates: int,
+        walked: int = 0,
+        exceptional: list[int] | None = None,
+        elapsed_ms: float = 0.0,
+    ):
+        self.lo = lo
+        self.hi = hi
+        self.sg_candidates = sg_candidates
+        self.walked = walked
+        self.exceptional = [] if exceptional is None else exceptional
+        self.elapsed_ms = elapsed_ms
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"ScanReport({fields})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def as_dict(self) -> dict:
-        """The fields in declaration order, the key order of `--json`."""
-        return asdict(self)
+        """The fields in constructor order, the key order of `--json`.
+
+        `exceptional` is a copy, so changing the dict leaves the report as it is.
+        """
+        return {
+            "lo": self.lo,
+            "hi": self.hi,
+            "sg_candidates": self.sg_candidates,
+            "walked": self.walked,
+            "exceptional": list(self.exceptional),
+            "elapsed_ms": self.elapsed_ms,
+        }
 
 
 def _progressions(max_step: int) -> tuple[tuple[int, int], ...]:

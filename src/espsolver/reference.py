@@ -13,34 +13,36 @@ Its cost grows like n^2.3 (0.3 s at n = 700, minutes at n = 10^4).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .core import DomainError, InvalidSolutionError, Solution
 
 
-@dataclass(frozen=True, order=True)
-class SolutionKey:
+class SolutionKey(namedtuple("SolutionKey", "n r")):
     """Identifies the set of solutions with tuple length n and r non-unit
-    components.  Ordered by n first, then r (dataclass field order)."""
+    components.  A tuple (n, r), so ordered by n first, then r."""
 
-    n: int
-    r: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SolutionSet:
-    """The (possibly empty) set of solutions for one (n, r) key."""
+    """The (possibly empty) set of solutions for one (n, r) key.
 
-    key: SolutionKey
-    solutions: frozenset[Solution]
+    MemoStore files it under its key; it compares by identity.
+    """
 
-    def __post_init__(self):
-        for s in self.solutions:
-            if s.r != self.key.r or s.n != self.key.n:
-                raise InvalidSolutionError(
-                    f"solution {s} does not belong to key {self.key}"
-                )
+    __slots__ = ("key", "solutions")
+
+    def __init__(self, key: SolutionKey, solutions: frozenset[Solution]):
+        for s in solutions:
+            if s.r != key.r or s.n != key.n:
+                raise InvalidSolutionError(f"solution {s} does not belong to key {key}")
+        self.key = key
+        self.solutions = solutions
+
+    def __repr__(self) -> str:
+        return f"SolutionSet(key={self.key!r}, solutions={self.solutions!r})"
 
     def __len__(self) -> int:
         return len(self.solutions)

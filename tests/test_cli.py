@@ -180,3 +180,27 @@ def test_import_loads_no_pool_machinery():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+def added_modules(statement: str) -> set[str]:
+    """The modules `statement` adds to a fresh interpreter of this Python,
+    on top of what the interpreter and its `site` hooks load on their own."""
+    src = os.path.dirname(os.path.dirname(espsolver.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        f"{statement}; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_import_budget():
+    # dataclasses loads inspect, ast, dis and tokenize, which together take
+    # longer to import than the rest of the command-line module.
+    cli = added_modules("import espsolver.cli")
+    assert "espsolver.cli" in cli
+    assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    # The command-line parser and the JSON codec load with the CLI only.
+    package = added_modules("import espsolver")
+    assert "espsolver" in package
+    assert not package & {"argparse", "json"}

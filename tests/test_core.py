@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,10 +103,48 @@ class TestRendering:
         assert Solution.from_dict(s.as_dict()) == s
 
 
+class TestSolutionValue:
+    """Solution is a tuple (nonunit, units) with value semantics."""
+
+    def test_equality_and_hash_follow_fields(self):
+        a, b = Solution((2, 15), 13), Solution((2, 15), 13)
+        assert a == b and hash(a) == hash(b)
+        assert a != Solution((3, 8), 13)
+        assert a != Solution((2, 15), 12)
+        assert len({a, b, Solution((3, 8), 13)}) == 2
+
+    def test_is_a_tuple(self):
+        s = Solution((2, 15), 13)
+        assert s == ((2, 15), 13)
+        assert len(s) == 2
+        nonunit, units = s
+        assert (nonunit, units) == (s.nonunit, s.units)
+        assert Solution((2, 2, 2), 2) < Solution((2, 5), 3)
+
+    def test_immutable(self):
+        s = Solution((2, 15), 13)
+        with pytest.raises(AttributeError):
+            s.units = 12
+        with pytest.raises(AttributeError):
+            s.extra = 1  # no instance __dict__
+
+    def test_pickle_round_trip(self):
+        s = Solution((2, 15), 13)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and type(back) is Solution
+
+    def test_repr(self):
+        assert repr(Solution((2, 15), 13)) == "Solution(nonunit=(2, 15), units=13)"
+
+
 class TestSolutionSet:
     def test_rejects_mismatched_member(self):
         with pytest.raises(InvalidSolutionError):
             SolutionSet(SolutionKey(5, 2), frozenset({Solution((2, 2, 2), 2)}))
+
+    def test_rejects_member_of_other_n(self):
+        with pytest.raises(InvalidSolutionError):
+            SolutionSet(SolutionKey(5, 2), frozenset({Solution((2, 5), 3), Solution((2, 7), 5)}))
 
     def test_len_and_iter(self):
         ss = SolutionSet(SolutionKey(15, 2), frozenset({Solution((2, 15), 13)}))

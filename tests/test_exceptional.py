@@ -11,6 +11,7 @@ from espsolver import exceptional
 from espsolver.core import DomainError, Solution, is_basic
 from espsolver.exceptional import (
     MAX_SCAN_HI,
+    ScanReport,
     find_first_nonbasic,
     is_exceptional,
     is_sophie_germain,
@@ -174,6 +175,38 @@ class TestScan:
         assert scan_exceptional(MAX_SCAN_HI, MAX_SCAN_HI).exceptional == []
         with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
             scan_exceptional(MAX_SCAN_HI - 10, MAX_SCAN_HI + 1)
+
+
+class TestScanReport:
+    def test_defaults(self):
+        report = ScanReport(2, 30, 7)
+        assert (report.walked, report.exceptional, report.elapsed_ms) == (0, [], 0.0)
+        # each report gets its own list
+        report.exceptional.append(2)
+        assert ScanReport(2, 30, 7).exceptional == []
+
+    def test_exceptional_is_a_list(self):
+        assert type(scan_exceptional(2, 1000).exceptional) is list
+
+    def test_as_dict_key_order(self):
+        d = ScanReport(2, 1000, 38, 8, [2, 3], 1.5).as_dict()
+        assert list(d) == ["lo", "hi", "sg_candidates", "walked", "exceptional", "elapsed_ms"]
+        assert d == {
+            "lo": 2, "hi": 1000, "sg_candidates": 38, "walked": 8,
+            "exceptional": [2, 3], "elapsed_ms": 1.5,
+        }
+
+    def test_as_dict_copies_the_list(self):
+        report = ScanReport(2, 1000, 38, 8, [2, 3])
+        report.as_dict()["exceptional"].append(4)
+        assert report.exceptional == [2, 3]
+
+    def test_equality_and_repr(self):
+        assert ScanReport(2, 30, 7) == ScanReport(2, 30, 7, 0, [], 0.0)
+        assert ScanReport(2, 30, 7) != ScanReport(2, 30, 8)
+        assert repr(ScanReport(2, 30, 7, exceptional=[2])) == (
+            "ScanReport(lo=2, hi=30, sg_candidates=7, walked=0, exceptional=[2], elapsed_ms=0.0)"
+        )
 
 
 def per_n(lo, hi):
