@@ -1,7 +1,8 @@
 """Brute-force ground truth for small n.
 
-Deliberately simple enumeration used only to cross-check the recursive
-solver in tests; guarded to n <= 64.
+Deliberately simple enumeration, independent of the walk, that checks
+`calc_solution`: `esp verify NMAX` compares the two for n = 2 ... NMAX,
+and the tests do too. Guarded to n <= 64.
 """
 
 from __future__ import annotations

@@ -124,6 +124,72 @@ class TestScan:
         assert str(MAX_SCAN_HI) in capsys.readouterr().err
 
 
+EXCEPTIONAL = "exceptional: 2 3 4 6 24 114 174 444"
+
+
+def exit_code_of(argv: list[str]) -> int:
+    """The exit status `esp argv` ends with: main's return value, or the
+    code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# argv, exit code, texts on stdout, texts on stderr
+PARITY = [
+    ([], 2, [], ["usage: esp", "error:"]),
+    (["-h"], 0, ["usage: esp", "solve", "verify", "scan"], []),
+    (["solve", "-h"], 0, ["usage: esp solve", "--json"], []),
+    (["verify", "--help"], 0, ["usage: esp verify"], []),
+    (["scan", "--help"], 0, ["usage: esp scan", "--sg-filter", "--json", "--workers"], []),
+    (["frob", "3"], 2, [], ["usage: esp", "error:", "'frob'"]),
+    (["solve"], 2, [], ["usage: esp solve", "error:", "required"]),
+    (["solve", "1", "2"], 2, [], ["usage: esp", "error: unrecognized arguments: 2"]),
+    (["scan", "5"], 2, [], ["usage: esp scan", "error:", "required"]),
+    (["solve", "fifteen"], 2, [], ["usage: esp solve", "invalid int value: 'fifteen'"]),
+    (["solve", "15", "--sg-filter"], 2, [], ["error: unrecognized arguments: --sg-filter"]),
+    (["solve", "--bogus", "15"], 2, [], ["error: unrecognized arguments: --bogus"]),
+    (["--json", "solve", "15"], 2, [], ["usage: esp", "error:"]),
+    (["solve", "--json", "15"], 0, ['"n": 15'], []),
+    (["scan", "--json", "2", "1000"], 0, ['"exceptional": [2, 3, 4, 6, 24, 114, 174, 444]'], []),
+    (["scan", "2", "--sg-filter", "1000"], 0, [EXCEPTIONAL, "candidates: 38"], []),
+    (["scan", "2", "1000", "--workers", "2"], 0, [EXCEPTIONAL], []),
+    (["scan", "2", "1000", "--workers=2"], 0, [EXCEPTIONAL], []),
+    (["scan", "2", "1000", "--workers"], 2, [], ["usage: esp scan", "--workers", "expected one argument"]),
+    (["scan", "2", "1000", "--workers", "x"], 2, [], ["--workers", "invalid int value: 'x'"]),
+    (["scan", "2", "1000", "--json=1"], 2, [], ["usage: esp scan", "--json"]),
+    (["solve", "-5"], 2, [], ["error: n must be >= 2, got -5"]),
+    # Flags are not abbreviated: --sg is not --sg-filter.
+    (["scan", "2", "1000", "--sg"], 2, [], ["error: unrecognized arguments: --sg"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_texts,err_texts", PARITY, ids=[" ".join(c[0]) or "(none)" for c in PARITY]
+)
+def test_cli_grammar(capsys, argv, code, out_texts, err_texts):
+    assert exit_code_of(argv) == code
+    out, err = capsys.readouterr()
+    for text in out_texts:
+        assert text in out
+    for text in err_texts:
+        assert text in err
+    # Output goes to one stream only: results and help to stdout, errors
+    # and usage after an error to stderr.
+    assert not (err if code == 0 else out)
+
+
+def test_help_is_the_module_docstring(capsys):
+    # The usage and help come from one table, which also writes the
+    # module's docstring.
+    assert exit_code_of(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: esp solve N [--json]\n")
+    assert "esp scan LO HI [--sg-filter] [--json] [--workers K]" in help_text
+    assert help_text in espsolver.cli.__doc__
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records its size and the pickled
     size of each mapped function, and runs the function in-process after a
@@ -200,6 +266,9 @@ def test_import_budget():
     cli = added_modules("import espsolver.cli")
     assert "espsolver.cli" in cli
     assert not cli & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    # argparse, and the gettext it loads, cost more to import and build on
+    # every run than the command line's own parser.
+    assert not cli & {"argparse", "gettext"}
     # The command-line parser and the JSON codec load with the CLI only.
     package = added_modules("import espsolver")
     assert "espsolver" in package
