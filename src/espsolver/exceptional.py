@@ -50,7 +50,7 @@ from .core import DomainError, Solution
 
 # Re-exported only for bench/tracing.py; see the note in `solver`.
 from .reference import MemoStore, calc_shell  # noqa: F401
-from .solver import walk_shell
+from .solver import is_prime, walk_shell
 
 # Progressions with a larger step are left to the per-n walk.
 MAX_STEP = 128
@@ -58,40 +58,10 @@ MAX_STEP = 128
 # of work handed to each worker.
 SEGMENT = 1 << 16
 # Largest hi `scan_exceptional` accepts and largest n `find_first_nonbasic`
-# checks. A 3000-wide window there takes ~0.04 s once the base primes are
-# cached, which takes ~0.1 s the first time; both grow like sqrt(hi).
+# checks. A 3000-wide window there takes ~0.03 s once the base primes are
+# cached, which takes ~0.1 s the first time; both grow like sqrt(hi). A
+# 10^6-wide window there takes ~0.6 s, of which the walk is ~0.03 s.
 MAX_SCAN_HI = 10**12
-# Witness bases making the strong-pseudoprime test deterministic for all
-# inputs below 3.3 * 10^24, which covers the full 64-bit range; `is_prime`
-# also trial-divides by them first.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(m: int) -> bool:
-    """Deterministic primality test, exact for all m < 2^64."""
-    if m < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if m == p:
-            return True
-        if m % p == 0:
-            return False
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def is_sophie_germain(p: int) -> bool:
@@ -248,13 +218,16 @@ def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]
     few = bisect_left(qs, size, 0, count)  # from qs[few] on, one hit at most
     shell2 = bytearray(b"\x01") * size
     germain = bytearray(b"\x01") * size
-    for flags, res in ((shell2, r6), (germain, r12)):
-        for q, r in zip(qs[:few], res):
-            i = (r - k0) % q
-            flags[i::q] = zeros[: (size - 1 - i) // q + 1]
-        hits = [i for q, r in zip(qs[few:count], res[few:count]) if (i := (r - k0) % q) < size]
-        for i in hits:
-            flags[i] = 0
+    for q, a, b in zip(qs[:few], r6, r12):
+        i = (a - k0) % q
+        shell2[i::q] = zeros[: (size - 1 - i) // q + 1]
+        i = (b - k0) % q
+        germain[i::q] = zeros[: (size - 1 - i) // q + 1]
+    for q, a, b in zip(qs[few:count], r6[few:count], r12[few:count]):
+        if (i := (a - k0) % q) < size:
+            shell2[i] = 0
+        if (i := (b - k0) % q) < size:
+            germain[i] = 0
     # a base prime that is itself some 6k-1 or 12k-1 here was cleared with
     # its multiples: set its flag back
     for q in qs[bisect_left(qs, 6 * k0 - 1, 0, count) : count]:

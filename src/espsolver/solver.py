@@ -7,6 +7,13 @@ n-1. A solve takes about 0.1 ms at n = 700, 1 ms at n = 10^4, 20 ms at
 10^6 and 1.5 s at 10^8 (one core, Python 3.11), a little under linear in
 n at large n, so `calc_solution` accepts n up to MAX_SOLVE_N.
 
+The walk's last level tries one divisor per step of a range; a range of
+more than MAX_TRIAL steps is replaced by the divisors of m that lie in
+it, from a factorization (trial division by the primes up to 37, then
+`is_prime` and Pollard-Brent rho).  Full solves up to MAX_SOLVE_N rarely
+meet such a range.  The first-hit walks of a scan near 10^12 do: there
+a survivor's walk fell from ~0.1 s to under 1 ms.
+
 The paper's memoized recursion, which the walk is tested against, lives
 in `reference`; nothing here calls it.
 """
@@ -14,7 +21,7 @@ in `reference`; nothing here calls it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import isqrt
+from math import gcd, isqrt
 
 from .core import DomainError, Solution
 
@@ -24,6 +31,110 @@ from .reference import MemoStore, build_s2, calc_shell, reference_solution  # no
 
 # Largest n `calc_solution` accepts; the walk takes about 1.5 s there.
 MAX_SOLVE_N = 10**8
+# Longest last-level range the walk trial-divides; past it the walk factors
+# m.  On the scan survivors of 3000-wide windows at 3 * 10^7 and of the
+# 10^6-wide window ending at 10^12, every value from 16 to 1024 took the
+# same time within noise; with no factoring they took 2.5x and ~150x as long.
+MAX_TRIAL = 1024
+# Witness bases making the strong-pseudoprime test deterministic for all
+# inputs below 3.1 * 10^23, which covers the full 64-bit range; `is_prime`
+# also trial-divides by them first, and so does `_prime_factors`.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Fewer suffice for smaller inputs: the first 4 below 3 215 031 751 and the
+# first 7 below 341 550 071 728 321, the least strong pseudoprimes to those
+# bases (Jaeschke, 1993).
+_MR_SHORT = ((3_215_031_751, _MR_WITNESSES[:4]), (341_550_071_728_321, _MR_WITNESSES[:7]))
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic primality test, exact for all m < 2^64."""
+    if m < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if m == p:
+            return True
+        if m % p == 0:
+            return False
+    d = m - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    witnesses = next((w for bound, w in _MR_SHORT if m < bound), _MR_WITNESSES)
+    for a in witnesses:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(m: int) -> int:
+    """A proper divisor of m, an odd composite with no prime factor <= 37,
+    by Pollard's rho with Brent's cycle search.
+
+    Starts at y = 2 with x -> x^2 + c, c = 1, 2, ...: the same m always
+    takes the same steps.
+    """
+    c = 1
+    while True:
+        y, q, g, span = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(span):
+                y = (y * y + c) % m
+            done = 0
+            while done < span and g == 1:
+                ys = y
+                for _ in range(min(128, span - done)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                done += 128
+            span *= 2
+        if g == m:
+            # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g
+        c += 1
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The prime factors of m >= 1, with multiplicity, in no set order."""
+    factors = []
+    for q in _MR_WITNESSES:
+        while not m % q:
+            factors.append(q)
+            m //= q
+    rest = [m] if m > 1 else []
+    while rest:
+        f = rest.pop()
+        if is_prime(f):
+            factors.append(f)
+        else:
+            d = _rho(f)
+            rest += (d, f // d)
+    return factors
+
+
+def _divisors(m: int, low: int, top: int, p: int) -> list[int]:
+    """The divisors d of m >= 1 with low <= d <= top and d = -1 (mod p),
+    ascending."""
+    divisors = [1]
+    factors = _prime_factors(m)
+    for q in set(factors):
+        powers = [q**e for e in range(factors.count(q) + 1)]
+        divisors = [d * power for d in divisors for power in powers if d * power <= top]
+    return sorted(d for d in divisors if d >= low and (d + 1) % p == 0)
 
 
 def walk_shell(n: int, r: int) -> Iterator[Solution]:
@@ -43,6 +154,13 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
     level is one remainder per x.  For r = 2 the prefix is empty and the
     last level reads off the divisors d <= isqrt(n-1) of n-1, so S_2(n)
     comes out basic solution (d = 1) first.
+
+    When the last level spans more than MAX_TRIAL values of d, the walk
+    factors m instead and takes its divisors d = -1 (mod p) in the same
+    range, ascending, so it yields the same members in the same order.  A
+    prime m has only 1 and m as divisors, and 1 is in the range only for
+    the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
+    under 2^64 for n <= 10^12, where `is_prime` is exact.
     """
     if n < 2 or r < 2:
         raise DomainError(f"need n >= 2 and r >= 2, got ({n}, {r})")
@@ -58,7 +176,11 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
                 x += 1
             return
         m = p * num + 1
-        for d in range(p * lo - 1, isqrt(m) + 1, p):
+        low, top = p * lo - 1, isqrt(m)
+        steps = range(low, top + 1, p)
+        if len(steps) > MAX_TRIAL:
+            steps = _divisors(m, low, top, p)
+        for d in steps:
             if not m % d:
                 x = (d + 1) // p
                 yield Solution(prefix + (x, (num + x) // d), units)

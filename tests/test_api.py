@@ -34,7 +34,7 @@ DROPPED = {
     "calc_shell": "espsolver.reference",
     "extend_candidate": "espsolver.reference",
     "j_bounds": "espsolver.reference",
-    "is_prime": "espsolver.exceptional",
+    "is_prime": "espsolver.solver",
 }
 
 

@@ -14,6 +14,7 @@ from espsolver.exceptional import (
     ScanReport,
     find_first_nonbasic,
     is_exceptional,
+    is_prime,
     is_sophie_germain,
     scan_exceptional,
 )
@@ -65,6 +66,14 @@ class TestFindFirstNonbasic:
     def test_second_member_of_s2_near_the_limit(self):
         # 10^12 - 1 = 3 * 333333333333: the smallest divisor above 1 is 3
         assert find_first_nonbasic(10**12) == Solution((4, 333333333334), 10**12 - 2)
+
+    def test_first_hit_near_the_limit(self):
+        # n - 1 is prime, so the walk decides: the first hits of the
+        # trial-dividing walk, which the factored last levels must keep
+        assert find_first_nonbasic(999_999_344_694) == Solution(
+            (10, 1017, 98338022), 999_999_344_691
+        )
+        assert find_first_nonbasic(999_999_871_584).nonunit == (14, 16, 4484304357)
 
     def test_domain_limit(self):
         assert find_first_nonbasic(MAX_SCAN_HI) is not None
@@ -219,6 +228,38 @@ def per_n(lo, hi):
 def scanned(lo, hi, use_sg_filter):
     report = scan_exceptional(lo, hi, use_sg_filter)
     return report.exceptional, report.sg_candidates
+
+
+class TestSieve:
+    """`_sieve` against `is_prime`, k by k."""
+
+    @staticmethod
+    def assert_flags_are_primality(k0, size):
+        shell2, germain = exceptional._sieve(k0, size, memoryview(bytes(size)))
+        ks = range(k0, k0 + size)
+        assert list(shell2) == [is_prime(6 * k - 1) for k in ks], (k0, size)
+        assert list(germain) == [is_prime(12 * k - 1) for k in ks], (k0, size)
+
+    # k0 = 1 ... 3: the window holds base primes, which the sieve must restore;
+    # size 1 leaves every base prime to the one-hit loop, size 3000 sends the
+    # primes below 3000 to the slice loop
+    @pytest.mark.parametrize(
+        "k0,size",
+        [(1, 1), (1, 2), (1, 40), (1, 3000), (2, 7), (3, 500), (5_000_000, 1), (5_000_000, 3000)],
+    )
+    def test_examples(self, k0, size):
+        self.assert_flags_are_primality(k0, size)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=300),
+            st.integers(min_value=1, max_value=10**10),
+        ),
+        st.integers(min_value=1, max_value=3000),
+    )
+    def test_random_windows(self, k0, size):
+        self.assert_flags_are_primality(k0, size)
 
 
 class TestSieveAgainstWalk:

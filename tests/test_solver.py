@@ -1,5 +1,8 @@
+from itertools import islice
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from espsolver import exceptional, reference, solver
@@ -15,7 +18,14 @@ from espsolver.reference import (
     j_bounds,
     reference_solution,
 )
-from espsolver.solver import MAX_SOLVE_N, calc_solution, walk_shell
+from espsolver.solver import (
+    MAX_SOLVE_N,
+    _divisors,
+    _prime_factors,
+    calc_solution,
+    is_prime,
+    walk_shell,
+)
 
 
 def refuse_the_reference(monkeypatch):
@@ -249,6 +259,95 @@ class TestWalkShell:
         shell = list(walk_shell(n, r))
         assert [s.nonunit for s in shell] == sorted({s.nonunit for s in shell})
         assert all(validate(s) and s.n == n and s.r == r for s in shell)
+
+
+class TestFactoredLastLevel:
+    """The walk that factors m at every last level against the walk that
+    trial-divides every one."""
+
+    @staticmethod
+    def first_items(n, r, max_trial):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "MAX_TRIAL", max_trial)
+            return list(islice(walk_shell(n, r), 50))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=10**7), st.sampled_from([2, 3, 4]))
+    # n = 2 and n - 1 prime (4, 444, 9_999_992): S_2(n) is the basic
+    # solution alone; 9_999_654 - 1 is a Sophie Germain prime, so the
+    # prefix (2) adds no member to S_3(n)
+    @example(2, 2)
+    @example(4, 2)
+    @example(444, 4)
+    @example(9_999_992, 2)
+    @example(9_999_992, 3)
+    @example(9_999_654, 3)
+    @example(9_999_654, 4)
+    def test_same_items_in_the_same_order(self, n, r):
+        factored = self.first_items(n, r, 0)
+        assert factored == self.first_items(n, r, 10**18)
+        assert all(s.n == n and s.r == r for s in factored)
+
+    def test_long_ranges_factor_by_default(self, monkeypatch):
+        # isqrt(10^7 - 2) = 3162 > MAX_TRIAL, so S_2(10^7) comes from the
+        # divisors of 10^7 - 1 = 3^2 * 239 * 4649
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _divisors(*args)
+
+        monkeypatch.setattr(solver, "_divisors", recording)
+        assert [s.nonunit[0] - 1 for s in walk_shell(10**7, 2)] == [1, 3, 9, 239, 717, 2151]
+        assert calls == [(10**7 - 1, 1, 3162, 1)]
+
+
+class TestFactorization:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            1,
+            2,
+            37,
+            41**2,  # the square of the first prime above the trial divisions
+            1000003**2,
+            2147483647**2,  # just below 2^62
+            3**40,
+            41**11,
+            1000003 * 1000033,  # close factors
+            2147483629 * 2147483647,
+            561,  # Carmichael numbers
+            41041,
+            825265,
+            252601,
+            3215031751,
+            2**62 - 1,
+            2**62,
+        ],
+    )
+    def test_examples(self, m):
+        factors = _prime_factors(m)
+        assert prod(factors) == m
+        assert all(is_prime(q) for q in factors)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=2**62))
+    def test_factors_multiply_back_and_are_prime(self, m):
+        factors = _prime_factors(m)
+        assert prod(factors) == m
+        assert all(is_prime(q) for q in factors)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=0, max_value=1000),
+    )
+    def test_divisors_in_the_class_and_range(self, m, p, low, width):
+        top = low + width
+        expected = [d for d in range(low, top + 1) if m % d == 0 and (d + 1) % p == 0]
+        assert _divisors(m, low, top, p) == expected
 
 
 class TestEngineAgreement:
