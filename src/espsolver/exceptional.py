@@ -42,6 +42,7 @@ import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import partial
 from itertools import compress
 from math import gcd, isqrt
@@ -97,53 +98,23 @@ def is_exceptional(n: int) -> bool:
     return find_first_nonbasic(n) is None
 
 
-class ScanReport:
+class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptional elapsed_ms")):
     """Outcome of an exceptional-value scan over [lo, hi].
 
     `sg_candidates` counts the n with n = 2 or n-1 a Sophie Germain prime;
     `walked` counts the n left to `find_first_nonbasic` after the sieve.
+    Like `Solution`, it is an immutable tuple, equal to the plain tuple of
+    its six fields.
     """
 
-    __slots__ = ("lo", "hi", "sg_candidates", "walked", "exceptional", "elapsed_ms")
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        sg_candidates: int,
-        walked: int = 0,
-        exceptional: list[int] | None = None,
-        elapsed_ms: float = 0.0,
-    ):
-        self.lo = lo
-        self.hi = hi
-        self.sg_candidates = sg_candidates
-        self.walked = walked
-        self.exceptional = [] if exceptional is None else exceptional
-        self.elapsed_ms = elapsed_ms
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
-        return f"ScanReport({fields})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The fields in constructor order, the key order of `--json`.
 
         `exceptional` is a copy, so changing the dict leaves the report as it is.
         """
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "sg_candidates": self.sg_candidates,
-            "walked": self.walked,
-            "exceptional": list(self.exceptional),
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return {**self._asdict(), "exceptional": list(self.exceptional)}
 
 
 def _progressions(max_step: int) -> tuple[tuple[int, int], ...]:
@@ -189,15 +160,11 @@ _BASE: tuple[int, array, array, array] = (0, array("i"), array("i"), array("i"))
 
 def _base_primes(m: int) -> tuple[array, array, array]:
     """The cached base primes, with their two k-residues, holding every
-    prime 5 <= q <= m.
-
-    A larger m re-sieves the cache to at least twice its bound, but never
-    past isqrt(2 * MAX_SCAN_HI) unless m asks for it.
-    """
+    prime 5 <= q <= m.  A larger m re-sieves the cache to exactly m."""
     global _BASE
     limit, qs, r6, r12 = _BASE
     if limit < m:
-        limit = max(m, min(2 * limit, isqrt(2 * MAX_SCAN_HI)))
+        limit = m
         flags = bytearray(b"\x01") * (limit + 1)
         for q in range(2, isqrt(limit) + 1):
             if flags[q]:

@@ -10,9 +10,9 @@ n at large n, so `calc_solution` accepts n up to MAX_SOLVE_N.
 The walk's last level tries one divisor per step of a range; a range of
 more than MAX_TRIAL steps is replaced by the divisors of m that lie in
 it, from a factorization (trial division by the primes up to 37, then
-`is_prime` and Pollard-Brent rho).  Full solves up to MAX_SOLVE_N rarely
-meet such a range.  The first-hit walks of a scan near 10^12 do: there
-a survivor's walk fell from ~0.1 s to under 1 ms.
+`is_prime` and Pollard's rho with Floyd's cycle search).  Full solves up
+to MAX_SOLVE_N rarely meet such a range.  The first-hit walks of a scan
+near 10^12 do: there a survivor's walk fell from ~0.1 s to under 1 ms.
 
 The paper's memoized recursion, which the walk is tested against, lives
 in `reference`; nothing here calls it.
@@ -76,33 +76,20 @@ def is_prime(m: int) -> bool:
 
 def _rho(m: int) -> int:
     """A proper divisor of m, an odd composite with no prime factor <= 37,
-    by Pollard's rho with Brent's cycle search.
+    by Pollard's rho with Floyd's cycle search.
 
-    Starts at y = 2 with x -> x^2 + c, c = 1, 2, ...: the same m always
+    Starts at x = y = 2 with x -> x^2 + c, c = 1, 2, ...: the same m always
     takes the same steps.
     """
     c = 1
     while True:
-        y, q, g, span = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(span):
-                y = (y * y + c) % m
-            done = 0
-            while done < span and g == 1:
-                ys = y
-                for _ in range(min(128, span - done)):
-                    y = (y * y + c) % m
-                    q = q * (x - y) % m
-                g = gcd(q, m)
-                done += 128
-            span *= 2
-        if g == m:
-            # the batch overshot: step again from its start, one gcd a step
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = gcd(x - ys, m)
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            g = gcd(x - y, m)
         if g != m:
             return g
         c += 1

@@ -8,7 +8,7 @@ from test_cli import FakePool
 from test_solver import refuse_the_reference
 
 from espsolver import exceptional
-from espsolver.core import DomainError, Solution, is_basic
+from espsolver.core import DomainError, Solution, is_basic, validate
 from espsolver.exceptional import (
     MAX_SCAN_HI,
     ScanReport,
@@ -187,12 +187,24 @@ class TestScan:
 
 
 class TestScanReport:
-    def test_defaults(self):
-        report = ScanReport(2, 30, 7)
-        assert (report.walked, report.exceptional, report.elapsed_ms) == (0, [], 0.0)
-        # each report gets its own list
-        report.exceptional.append(2)
-        assert ScanReport(2, 30, 7).exceptional == []
+    """ScanReport is a tuple of its six fields with value semantics."""
+
+    def test_is_a_tuple(self):
+        report = ScanReport(2, 1000, 38, 8, [2, 3], 1.5)
+        assert report == (2, 1000, 38, 8, [2, 3], 1.5)
+        assert len(report) == 6
+        lo, hi, sg, walked, found, ms = report
+        assert (lo, hi, sg, walked, found, ms) == (
+            report.lo, report.hi, report.sg_candidates, report.walked,
+            report.exceptional, report.elapsed_ms,
+        )
+
+    def test_immutable(self):
+        report = ScanReport(2, 30, 7, 0, [], 0.0)
+        with pytest.raises(AttributeError):
+            report.walked = 1
+        with pytest.raises(AttributeError):
+            report.extra = 1  # no instance __dict__
 
     def test_exceptional_is_a_list(self):
         assert type(scan_exceptional(2, 1000).exceptional) is list
@@ -206,21 +218,30 @@ class TestScanReport:
         }
 
     def test_as_dict_copies_the_list(self):
-        report = ScanReport(2, 1000, 38, 8, [2, 3])
+        report = ScanReport(2, 1000, 38, 8, [2, 3], 0.0)
         report.as_dict()["exceptional"].append(4)
         assert report.exceptional == [2, 3]
 
     def test_equality_and_repr(self):
-        assert ScanReport(2, 30, 7) == ScanReport(2, 30, 7, 0, [], 0.0)
-        assert ScanReport(2, 30, 7) != ScanReport(2, 30, 8)
-        assert repr(ScanReport(2, 30, 7, exceptional=[2])) == (
+        assert ScanReport(2, 30, 7, 0, [], 0.0) == ScanReport(2, 30, 7, 0, [], 0.0)
+        assert ScanReport(2, 30, 7, 0, [], 0.0) != ScanReport(2, 30, 8, 0, [], 0.0)
+        assert repr(ScanReport(2, 30, 7, 0, [2], 0.0)) == (
             "ScanReport(lo=2, hi=30, sg_candidates=7, walked=0, exceptional=[2], elapsed_ms=0.0)"
         )
 
 
 def per_n(lo, hi):
-    """The exceptional n in [lo, hi] and the Sophie Germain count, n by n."""
-    found = [n for n in range(lo, hi + 1) if find_first_nonbasic(n) is None]
+    """The exceptional n in [lo, hi] and the Sophie Germain count, n by n.
+
+    Every hit the walk returns must be a genuine non-basic solution for n.
+    """
+    found = []
+    for n in range(lo, hi + 1):
+        hit = find_first_nonbasic(n)
+        if hit is None:
+            found.append(n)
+        else:
+            assert validate(hit) and hit.n == n and not is_basic(hit), (n, hit)
     sg = sum(1 for n in range(lo, hi + 1) if n == 2 or is_sophie_germain(n - 1))
     return found, sg
 

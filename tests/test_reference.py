@@ -1,0 +1,135 @@
+import pytest
+
+from espsolver.core import DomainError, Solution, validate
+from espsolver.reference import (
+    MemoStore,
+    SolutionKey,
+    SolutionSet,
+    calc_shell,
+    extend_candidate,
+    j_bounds,
+)
+
+
+class TestJBounds:
+    def test_15_4(self):
+        b = j_bounds(15, 4)
+        assert (b.start, b.stop, len(b)) == (0, 3, 3)
+
+    def test_15_3(self):
+        b = j_bounds(15, 3)
+        assert (b.start, b.stop, len(b)) == (-1, 5, 6)
+
+    def test_4_3_empty(self):
+        b = j_bounds(4, 3)
+        assert (b.start, b.stop, len(b)) == (-1, -1, 0)
+
+    def test_floor_toward_negative_infinity(self):
+        # (4 - 9 + 2) / 2 = -1.5 must floor to -2, not truncate to -1
+        assert j_bounds(4, 3).stop - 1 == -2
+
+    def test_rejects_small_r(self):
+        with pytest.raises(DomainError):
+            j_bounds(10, 2)
+
+    def test_iteration_orders(self):
+        b = j_bounds(15, 3)
+        assert list(b) == [-1, 0, 1, 2, 3, 4]
+        assert list(reversed(b)) == [4, 3, 2, 1, 0, -1]
+
+
+class TestExtendCandidate:
+    def test_extends_to_s3_5(self):
+        base = Solution((2, 2), 0)
+        assert extend_candidate(base, -1, 5, 3) == Solution((2, 2, 2), 2)
+
+    def test_non_integer_rejected(self):
+        assert extend_candidate(Solution((2, 2), 0), -1, 6, 3) is None
+
+    def test_s4_15_rejected(self):
+        assert extend_candidate(Solution((2, 2, 2), 2), 1, 15, 4) is None
+
+    def test_result_validates(self):
+        s = extend_candidate(Solution((2, 2), 0), -1, 5, 3)
+        assert s is not None and validate(s)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            extend_candidate(Solution((2, 2), 0), 3, 15, 3)  # units != j+1
+        with pytest.raises(ValueError):
+            extend_candidate(Solution((2, 2), 0), -1, 15, 4)  # wrong r
+
+
+class TestMemoStore:
+    def test_keys_stay_ordered(self):
+        memo = MemoStore()
+        for n, r in [(15, 4), (2, 2), (7, 2), (5, 3), (15, 2)]:
+            memo.insert(SolutionSet(SolutionKey(n, r), frozenset()))
+        assert memo.keys() == sorted(memo.keys())
+        assert len(memo) == 5
+
+    def test_reinsert_same_key(self):
+        memo = MemoStore()
+        memo.insert(SolutionSet(SolutionKey(5, 3), frozenset()))
+        memo.insert(SolutionSet(SolutionKey(5, 3), frozenset()))
+        assert len(memo) == 1
+        assert memo.keys() == [SolutionKey(5, 3)]
+
+    def test_get_and_contains(self):
+        memo = MemoStore()
+        ss = SolutionSet(SolutionKey(5, 3), frozenset({Solution((2, 2, 2), 2)}))
+        memo.insert(ss)
+        assert SolutionKey(5, 3) in memo
+        assert memo.get(SolutionKey(5, 3)) is ss
+        assert memo.get(SolutionKey(5, 2)) is None
+
+
+class TestCalcShell:
+    @pytest.mark.parametrize(
+        "k,r,expected",
+        [
+            (5, 3, {Solution((2, 2, 2), 2)}),
+            (6, 3, set()),
+            (4, 3, set()),
+            (15, 4, set()),
+            (15, 3, set()),
+            (7, 2, {Solution((2, 7), 5), Solution((3, 4), 5)}),
+            (5, 2, {Solution((2, 5), 3), Solution((3, 3), 3)}),
+            (12, 4, {Solution((2, 2, 2, 2), 8)}),
+        ],
+    )
+    def test_golden_sets(self, k, r, expected):
+        assert calc_shell(k, r, MemoStore()).solutions == expected
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            calc_shell(1, 2, MemoStore())
+        with pytest.raises(DomainError):
+            calc_shell(5, 1, MemoStore())
+
+    def test_empty_sets_are_memoized(self):
+        memo = MemoStore()
+        calc_shell(6, 3, memo)
+        assert SolutionKey(6, 3) in memo
+        assert len(memo.get(SolutionKey(6, 3)).solutions) == 0
+
+    def test_memo_idempotent_with_zero_recomputation(self):
+        memo = MemoStore()
+        first = calc_shell(15, 4, memo)
+        evaluations = memo.extend_evaluations
+        assert evaluations > 0
+        second = calc_shell(15, 4, memo)
+        assert second.solutions == first.solutions
+        assert memo.extend_evaluations == evaluations
+
+    def test_cutoff_above_log2_bound(self):
+        for n in range(2, 201):
+            m = n.bit_length() - 1
+            for r in range(m + 2, m + 5):
+                assert calc_shell(n, r, MemoStore()).solutions == set(), (n, r)
+
+    def test_size_bound(self):
+        memo = MemoStore()
+        for n in range(2, 120):
+            for r in range(2, n.bit_length() + 1):
+                assert len(calc_shell(n, r, memo)) <= (n - 1) ** r
