@@ -33,7 +33,11 @@ non-basic solution.  What is left is decided by `find_first_nonbasic`,
 which stops at the first non-basic solution that the solver's
 product-bounded walk (`solver.walk_shell`) yields.  Clearing and walking
 are both exact, so the answer does not depend on MAX_STEP or SEGMENT.
-`is_exceptional` checks one n the same way, for n <= MAX_SCAN_HI.
+`is_exceptional` checks one n the same way.  Scans and checks stop at
+MAX_SCAN_HI, the walk's limit.  A 3000-wide window there takes ~0.03 s
+once the base primes are cached, which takes ~0.1 s the first time; both
+grow like sqrt(hi).  A 10^6-wide window there takes ~0.6 s, of which the
+walk is ~0.03 s.
 """
 
 from __future__ import annotations
@@ -51,22 +55,18 @@ from .core import DomainError, Solution
 
 # Re-exported only for bench/tracing.py; see the note in `solver`.
 from .reference import MemoStore, calc_shell  # noqa: F401
-from .solver import is_prime, walk_shell
+from .solver import MAX_SCAN_HI, is_prime, walk_shell
 
 # Progressions with a larger step are left to the per-n walk.
 MAX_STEP = 128
 # Width of one sieve segment: bounds the memory of a scan and is the unit
 # of work handed to each worker.
 SEGMENT = 1 << 16
-# Largest hi `scan_exceptional` accepts and largest n `find_first_nonbasic`
-# checks. A 3000-wide window there takes ~0.03 s once the base primes are
-# cached, which takes ~0.1 s the first time; both grow like sqrt(hi). A
-# 10^6-wide window there takes ~0.6 s, of which the walk is ~0.03 s.
-MAX_SCAN_HI = 10**12
 
 
 def is_sophie_germain(p: int) -> bool:
-    """True iff p and 2p+1 are both prime."""
+    """True iff p and 2p+1 are both prime; exact for p < 2^63, where 2p+1 is
+    below 2^64, so `is_prime` is exact."""
     return is_prime(p) and is_prime(2 * p + 1)
 
 
@@ -176,35 +176,34 @@ def _base_primes(m: int) -> tuple[array, array, array]:
     return qs, r6, r12
 
 
+def _form(c: int, k0: int, size: int, qs: array, residues: array, zeros: memoryview) -> bytearray:
+    """Flags of c*k-1 prime for k = k0 ... k0 + size - 1, from the base primes
+    q <= isqrt(c*(k0 + size - 1) - 1) in `qs` and the k at which each divides
+    c*k-1 in `residues`.  Each part was measured faster than its alternative:
+    one slice loop for every q cost +50-100 % of `_sieve`'s time, a check per
+    hit in place of the restoring pass +15-17 %, and 64-bit first k, to start
+    each q at q*q, +5-12 %."""
+    count = bisect_right(qs, isqrt(c * (k0 + size - 1) - 1))
+    few = bisect_left(qs, size, 0, count)  # from qs[few] on, one hit at most
+    flags = bytearray(b"\x01") * size
+    for q, a in zip(qs[:few], residues):
+        i = (a - k0) % q
+        flags[i::q] = zeros[: (size - 1 - i) // q + 1]
+    for q, a in zip(qs[few:count], residues[few:count]):
+        if (i := (a - k0) % q) < size:
+            flags[i] = 0
+    # a base prime that is itself some c*k-1 here was cleared as its own multiple
+    for q in qs[bisect_left(qs, c * k0 - 1, 0, count) : count]:
+        if q % c == c - 1:
+            flags[(q + 1) // c - k0] = 1
+    return flags
+
+
 def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]:
     """Flags of 6k-1 prime and of 12k-1 prime, for k = k0 ... k0 + size - 1,
     k0 >= 1.  `zeros` holds at least `size` zero bytes."""
-    top = isqrt(12 * (k0 + size) - 13)
-    qs, r6, r12 = _base_primes(top)
-    count = bisect_right(qs, top)
-    few = bisect_left(qs, size, 0, count)  # from qs[few] on, one hit at most
-    shell2 = bytearray(b"\x01") * size
-    germain = bytearray(b"\x01") * size
-    for q, a, b in zip(qs[:few], r6, r12):
-        i = (a - k0) % q
-        shell2[i::q] = zeros[: (size - 1 - i) // q + 1]
-        i = (b - k0) % q
-        germain[i::q] = zeros[: (size - 1 - i) // q + 1]
-    for q, a, b in zip(qs[few:count], r6[few:count], r12[few:count]):
-        if (i := (a - k0) % q) < size:
-            shell2[i] = 0
-        if (i := (b - k0) % q) < size:
-            germain[i] = 0
-    # a base prime that is itself some 6k-1 or 12k-1 here was cleared with
-    # its multiples: set its flag back
-    for q in qs[bisect_left(qs, 6 * k0 - 1, 0, count) : count]:
-        k = (q + 1) // 6 - k0
-        if q % 6 == 5 and k < size:
-            shell2[k] = 1
-        k = (q + 1) // 12 - k0
-        if q % 12 == 11 and 0 <= k < size:
-            germain[k] = 1
-    return shell2, germain
+    qs, r6, r12 = _base_primes(isqrt(12 * (k0 + size) - 13))
+    return _form(6, k0, size, qs, r6, zeros), _form(12, k0, size, qs, r12, zeros)
 
 
 def _scan_segment(

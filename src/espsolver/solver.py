@@ -31,6 +31,9 @@ from .reference import MemoStore, build_s2, calc_shell, reference_solution  # no
 
 # Largest n `calc_solution` accepts; the walk takes about 1.5 s there.
 MAX_SOLVE_N = 10**8
+# Largest n `walk_shell` accepts, and so the scan's limit: up to it a factored
+# last level's m is below 2^64, where `is_prime` is exact.
+MAX_SCAN_HI = 10**12
 # Longest last-level range the walk trial-divides; past it the walk factors
 # m.  On the scan survivors of 3000-wide windows at 3 * 10^7 and of the
 # 10^6-wide window ending at 10^12, every value from 16 to 1024 took the
@@ -147,10 +150,11 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
     range, ascending, so it yields the same members in the same order.  A
     prime m has only 1 and m as divisors, and 1 is in the range only for
     the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
-    under 2^64 for n <= 10^12, where `is_prime` is exact.
+    under 2^64 for n <= MAX_SCAN_HI, where `is_prime` is exact; so `walk_shell`
+    accepts 2 <= n <= MAX_SCAN_HI.
     """
-    if n < 2 or r < 2:
-        raise DomainError(f"need n >= 2 and r >= 2, got ({n}, {r})")
+    if not 2 <= n <= MAX_SCAN_HI or r < 2:
+        raise DomainError(f"need 2 <= n <= {MAX_SCAN_HI} and r >= 2, got ({n}, {r})")
     units = n - r
 
     def walk(prefix: tuple[int, ...], p: int, s: int, lo: int) -> Iterator[Solution]:

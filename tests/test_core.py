@@ -5,19 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from espsolver.core import InvalidSolutionError, Solution, common_value, is_basic, validate
-from espsolver.reference import SolutionKey, SolutionSet
-
-
-class TestSolutionKeyOrder:
-    def test_matches_lexicographic_order_exhaustively(self):
-        # MemoStore keeps its keys in this order: by n, ties broken by r.
-        # Equivalence with tuple comparison implies a total order
-        # (antisymmetry, transitivity, trichotomy) for free.
-        keys = [SolutionKey(n, r) for n in range(2, 51) for r in range(2, n + 1)]
-        for a in keys:
-            for b in keys:
-                assert (a < b) == ((a.n, a.r) < (b.n, b.r))
-                assert (a == b) == ((a.n, a.r) == (b.n, b.r))
 
 
 class TestValidate:
@@ -135,18 +122,3 @@ class TestSolutionValue:
 
     def test_repr(self):
         assert repr(Solution((2, 15), 13)) == "Solution(nonunit=(2, 15), units=13)"
-
-
-class TestSolutionSet:
-    def test_rejects_mismatched_member(self):
-        with pytest.raises(InvalidSolutionError):
-            SolutionSet(SolutionKey(5, 2), frozenset({Solution((2, 2, 2), 2)}))
-
-    def test_rejects_member_of_other_n(self):
-        with pytest.raises(InvalidSolutionError):
-            SolutionSet(SolutionKey(5, 2), frozenset({Solution((2, 5), 3), Solution((2, 7), 5)}))
-
-    def test_len_and_iter(self):
-        ss = SolutionSet(SolutionKey(15, 2), frozenset({Solution((2, 15), 13)}))
-        assert len(ss) == 1
-        assert set(ss) == {Solution((2, 15), 13)}

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from espsolver import exceptional, reference, solver
+from espsolver import solver
 from espsolver.core import DomainError, Solution, common_value, is_basic, validate
 from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
 from espsolver.reference import MemoStore, build_s2, reference_solution
 from espsolver.solver import (
+    MAX_SCAN_HI,
     MAX_SOLVE_N,
     _divisors,
     _prime_factors,
@@ -17,19 +18,6 @@ from espsolver.solver import (
     is_prime,
     walk_shell,
 )
-
-
-def refuse_the_reference(monkeypatch):
-    """Make the recursion's entry points raise, in `reference` and in the
-    modules that re-export them, so any engine call into it fails."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the engine reached the reference recursion")
-
-    for module in (reference, solver, exceptional):
-        for name in ("calc_shell", "build_s2", "MemoStore"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
 
 
 class TestCalcSolution:
@@ -65,25 +53,53 @@ class TestCalcSolution:
                 assert cv <= 2 * n
                 assert (cv == 2 * n) == is_basic(s)
 
-    def test_oracle_equivalence(self):
-        memo = MemoStore()
-        for n in range(2, 65):
-            assert calc_solution(n, memo) == brute_force_solutions(n), n
-
-    def test_j_order_independence(self):
-        for n in range(2, 65):
-            asc = reference_solution(n, MemoStore(), j_descending=False)
-            desc = reference_solution(n, MemoStore(), j_descending=True)
-            assert asc == desc, n
-
     def test_rejects_n_above_limit(self):
         with pytest.raises(DomainError):
             calc_solution(MAX_SOLVE_N + 1)
 
-    def test_independent_of_the_reference(self, monkeypatch):
-        refuse_the_reference(monkeypatch)
+    def test_independent_of_the_reference(self, refuse_the_reference):
         for n in range(2, 65):
             assert calc_solution(n) == brute_force_solutions(n), n
+
+
+class TestIsPrime:
+    def test_one_not_prime(self):
+        assert not is_prime(1)
+
+    def test_113(self):
+        assert is_prime(113)
+
+    def test_887(self):
+        assert is_prime(887)
+
+    def test_agrees_with_trial_division(self):
+        for m in range(0, 10_000):
+            naive = m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+            assert is_prime(m) == naive, m
+
+    @pytest.mark.parametrize(
+        "m,expected",
+        [
+            (2, True),
+            (561, False),  # Carmichael number
+            (2**31 - 1, True),
+            (2**61 - 1, True),
+            (2**64 - 59, True),  # largest prime below 2^64
+            (2**64 - 1, False),
+            (3215031751, False),  # strong pseudoprime to bases 2,3,5,7
+            # the least strong pseudoprimes to the first 1, 2, 3, 5, 6, 7
+            # and 9 prime bases
+            (2047, False),
+            (1373653, False),
+            (25326001, False),
+            (2152302898747, False),
+            (3474749660383, False),
+            (341550071728321, False),
+            (3825123056546413051, False),
+        ],
+    )
+    def test_known_values(self, m, expected):
+        assert is_prime(m) == expected
 
 
 class TestWalkShell:
@@ -103,6 +119,14 @@ class TestWalkShell:
     def test_rejects_r_below_2(self):
         with pytest.raises(DomainError):
             next(walk_shell(10, 1))
+
+    def test_domain_limit(self):
+        # above 10^12 a factored last level's m can pass 2^64, where
+        # `is_prime` is no longer proven exact
+        assert MAX_SCAN_HI == 10**12
+        assert next(walk_shell(10**12, 2)) == Solution((2, 10**12), 10**12 - 2)
+        with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
+            next(walk_shell(10**12 + 1, 2))
 
     @staticmethod
     def assert_s2_is_the_reference_base_case(n):
@@ -224,10 +248,6 @@ class TestEngineAgreement:
     @given(st.integers(min_value=2, max_value=700))
     def test_matches_recursion(self, n):
         assert calc_solution(n) == reference_solution(n)
-
-    @given(st.integers(min_value=2, max_value=64))
-    def test_matches_brute_force(self, n):
-        assert calc_solution(n) == brute_force_solutions(n)
 
     @given(st.integers(min_value=2, max_value=8))
     def test_matches_exhaustive_tiny(self, n):
