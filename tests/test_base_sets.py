@@ -1,7 +1,7 @@
 import pytest
 
 from espsolver.core import DomainError, Solution, validate
-from espsolver.exceptional import is_prime
+from espsolver.solver import is_prime
 from espsolver.reference import SolutionKey, build_s2
 
 

@@ -177,7 +177,7 @@ class TestScan:
             (10**9, 10**9 + 3000, 1, 1),
         ],
     )
-    def test_walked_pinned(self, lo, hi, walked_filtered, walked_unfiltered):
+    def test_walked_per_window(self, lo, hi, walked_filtered, walked_unfiltered):
         assert scan_exceptional(lo, hi, use_sg_filter=True).walked == walked_filtered
         assert scan_exceptional(lo, hi, use_sg_filter=False).walked == walked_unfiltered
 
