@@ -17,27 +17,44 @@ steps by p*x - 1 (y -> y + 1).  Two cases of it are prime conditions:
   (2, x, y) whenever 2n-1 is composite.  For n > 2 to be exceptional,
   n-1 must therefore be a Sophie Germain prime.
 
-`scan_exceptional` works segment by segment, and apart from n = 2, 3, 4
-it looks only at the n = 6k.  For n >= 5 with n-1 prime, n-1 is a prime
-other than 2 and 3, so n is even and n != 1 (mod 3).  If n = 2 (mod 3),
-then 3 divides 2n-1 > 3, so n-1 is no Sophie Germain prime, and the
-progression of step 3 from n = 5 (solution (2, 2, 2)) clears n.  So every
-n >= 5 that is live, or counted as a Sophie Germain candidate, is a
-multiple of 6.  Per segment, a sieve of Eratosthenes over k flags the k
-with 6k-1 prime (the live n = 6k) and the k with 12k-1 prime (2n-1 prime,
-which the Sophie Germain filter also requires).  Its base primes q >= 5
-are cached once per process, each with the k at which q divides 6k-1 and
-12k-1.  Every progression with step p*x - 1 <= MAX_STEP, mapped onto the
-k once at import, then clears the n it hits, each of which has a proven
-non-basic solution.  What is left is decided by `find_first_nonbasic`,
-which stops at the first non-basic solution that the solver's
-product-bounded walk (`solver.walk_shell`) yields.  Clearing and walking
-are both exact, so the answer does not depend on MAX_STEP or SEGMENT.
-`is_exceptional` checks one n the same way.  Scans and checks stop at
-MAX_SCAN_HI, the walk's limit.  A 3000-wide window there takes ~0.03 s
-once the base primes are cached, which takes ~0.1 s the first time; both
-grow like sqrt(hi).  A 10^6-wide window there takes ~0.6 s, of which the
-walk is ~0.03 s.
+`scan_exceptional` looks only at n = 2, 3, 4 and the n = 6k.  For n >= 5
+with n-1 prime, n-1 is a prime other than 2 and 3, so n is even and
+n != 1 (mod 3).  If n = 2 (mod 3), then 3 divides 2n-1 > 3, so n-1 is no
+Sophie Germain prime, and the progression of step 3 from n = 5 (solution
+(2, 2, 2)) clears n.  So every n >= 5 that is live, or counted as a Sophie
+Germain candidate, is a multiple of 6.  A scan fixes one plan for all its
+segments, from hi and from K, the number of k in [lo, hi]:
+
+- Flags: the k with 6k-1 prime (the live n = 6k) and the k with 12k-1
+  prime (2n-1 prime, which the Sophie Germain filter also requires).
+  `_sieve`, a sieve of Eratosthenes over k, makes them from the base primes
+  q >= 5 up to sqrt(2*hi), cached once per process with the k at which
+  each q divides 6k-1 and 12k-1.  Where K is small next to those primes
+  (CENSUS_COST * K < sqrt(12*hi)), `_census` tests each k with `is_prime`
+  instead, and the cache is not built.  Near MAX_SCAN_HI that holds below
+  ~14 000 values: a 300-wide window there takes ~1 ms, against ~35 ms for
+  the sieve and ~0.1 s to fill its cache.
+- Progressions: each one of step p*x - 1 <= MAX_STEP whose step in k is at
+  most the scan's cut, max(128, K/4), clears the n it hits, each of which
+  has a proven non-basic solution.  A progression costs a slice per
+  segment and saves the walks of the n it clears.  MAX_STEP = 512 (1 654
+  progressions in k) was the best of 128, 512 and 2048 on [2, 10^8],
+  while a 3000-wide window at 3*10^7 does best near 128 (267
+  progressions).  The table is built on a scan's first use, only as far
+  as that scan needs: ~1.5 ms for steps up to 128, 3-6 ms for all of it.
+- Segments of SEGMENT = 2^22 values, at least one per worker, bound the
+  memory of a scan: its flags take ~0.7 MB per form, and the ints that
+  count and filter them as much again.
+
+What is left is decided by `find_first_nonbasic`, which stops at the first
+non-basic solution that the solver's product-bounded walk
+(`solver.walk_shell`) yields.  Clearing and walking are both exact, so the
+answer does not depend on the plan; `walked`, the count of n left to the
+walk, depends on the cut and the filter only.  `is_exceptional` checks
+one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
+limit.  On one core (Python 3.11), [2, 10^8] takes ~0.8 s and [2, 10^7]
+~0.08 s; near MAX_SCAN_HI, a 3000-wide window takes ~7 ms, and a
+10^6-wide one ~0.06 s once the base primes are cached.
 """
 
 from __future__ import annotations
@@ -57,11 +74,15 @@ from .core import DomainError, Solution
 from .reference import MemoStore, calc_shell  # noqa: F401
 from .solver import MAX_SCAN_HI, is_prime, walk_shell
 
-# Progressions with a larger step are left to the per-n walk.
-MAX_STEP = 128
+# Progressions of n with a larger step are left to the per-n walk.
+MAX_STEP = 512
 # Width of one sieve segment: bounds the memory of a scan and is the unit
 # of work handed to each worker.
-SEGMENT = 1 << 16
+SEGMENT = 1 << 22
+# A scan of K values of k takes its 6k-1 and 12k-1 flags from `is_prime`,
+# k by k, when CENSUS_COST * K is below isqrt(12 * hi), the bound of the
+# base primes that `_sieve` would pass over.
+CENSUS_COST = 1500
 
 
 def is_sophie_germain(p: int) -> bool:
@@ -102,7 +123,8 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
     """Outcome of an exceptional-value scan over [lo, hi].
 
     `sg_candidates` counts the n with n = 2 or n-1 a Sophie Germain prime;
-    `walked` counts the n left to `find_first_nonbasic` after the sieve.
+    `walked` counts the n that the flags and progressions left to
+    `find_first_nonbasic`: it moves with the scan's plan, the answer does not.
     Like `Solution`, it is an immutable tuple, equal to the plain tuple of
     its six fields.
     """
@@ -117,39 +139,66 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
         return {**self._asdict(), "exceptional": list(self.exceptional)}
 
 
-def _progressions(max_step: int) -> tuple[tuple[int, int], ...]:
-    """(step, first k) of the r >= 3 progressions with step <= max_step,
-    restricted to the n = 6k.
+def _table(max_step: int, bound: int) -> tuple[array, array]:
+    """Step and first k of the r >= 3 progressions with step <= max_step,
+    restricted to the n = 6k, whose step in k is at most `bound`: two
+    columns sorted by step.
 
     A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
     that step and class are merged into the one that starts first.
     """
-    first: dict[tuple[int, int], int] = {}
+    max_step = min(max_step, 6 * bound)  # step in k = d / gcd(d, 6) >= d / 6
+    # first k by step and class, packed in one int: half the peak memory of
+    # a tuple key
+    first: dict[int, int] = {}
 
     def extend(p: int, s: int, r: int, lo: int) -> None:
         # p, s: product and sum of an ascending prefix of r - 2 components
         x = lo
         while p * x - 1 <= max_step:
             if r >= 3:
-                d, n0 = p * x - 1, p * x * x - s - 2 * x + r
+                d = p * x - 1
                 g = gcd(d, 6)
-                if n0 % g == 0:
+                n0 = p * x * x - s - 2 * x + r
+                if d <= g * bound and n0 % g == 0:
                     # 6k = n0 (mod d) exactly for k = res (mod step)
                     step = d // g
                     res = n0 // g * pow(6 // g, -1, step) % step
                     k = -(-n0 // 6)
                     k += (res - k) % step
-                    first[step, res] = min(first.get((step, res), k), k)
+                    key = step << 32 | res
+                    first[key] = min(first.get(key, k), k)
             if p * x * x - 1 <= max_step:
                 extend(p * x, s + x, r + 1, x)
             x += 1
 
     extend(1, 0, 2, 2)
-    return tuple(sorted((step, k) for (step, _), k in first.items()))
+    keys = sorted(first)
+    return array("q", [key >> 32 for key in keys]), array("q", [first[key] for key in keys])
 
 
-_PROGRESSIONS = _progressions(MAX_STEP)
+# `_table(max_step, bound)`, built on a scan's first use, grown when a scan
+# needs longer steps in k, and built again if MAX_STEP has been changed.
+_PROGRESSIONS: tuple[int, int, array, array] = (0, 0, array("q"), array("q"))
+
+
+def _progressions(cut: int) -> tuple[array, array]:
+    """The columns of `_table(MAX_STEP, cut)`, from the cached table.
+
+    The table for a larger bound holds the same progressions, with the same
+    first k, for every step in k up to `cut`, so its prefix serves.
+    """
+    global _PROGRESSIONS
+    max_step, bound, steps, firsts = _PROGRESSIONS
+    if bound < cut or max_step != MAX_STEP:
+        # a power of two, so that widening scans rebuild it seldom
+        max_step, bound = MAX_STEP, 1 << (cut - 1).bit_length()
+        steps, firsts = _table(max_step, bound)
+        _PROGRESSIONS = max_step, bound, steps, firsts
+    count = bisect_right(steps, cut)
+    return steps[:count], firsts[:count]
+
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for
 # each q the k with 6k = 1 and with 12k = 1 (mod q): the n = 6k at which q
@@ -160,11 +209,13 @@ _BASE: tuple[int, array, array, array] = (0, array("i"), array("i"), array("i"))
 
 def _base_primes(m: int) -> tuple[array, array, array]:
     """The cached base primes, with their two k-residues, holding every
-    prime 5 <= q <= m.  A larger m re-sieves the cache to exactly m."""
+    prime 5 <= q <= m and maybe a few more.  A larger m re-sieves the cache
+    to m + m // 64, so that ascending scans re-sieve it seldom; `_form`
+    passes over only the primes up to its own root."""
     global _BASE
     limit, qs, r6, r12 = _BASE
     if limit < m:
-        limit = m
+        limit = m + m // 64
         flags = bytearray(b"\x01") * (limit + 1)
         for q in range(2, isqrt(limit) + 1):
             if flags[q]:
@@ -206,11 +257,24 @@ def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]
     return _form(6, k0, size, qs, r6, zeros), _form(12, k0, size, qs, r12, zeros)
 
 
+def _census(k0: int, size: int) -> tuple[bytearray, bytearray]:
+    """Flags of 6k-1 prime and of 6k-1 and 12k-1 both prime, for k = k0 ...
+    k0 + size - 1, from `is_prime` k by k: cheaper than `_sieve` where the
+    window is narrow next to its base primes.  The scan reads the 12k-1
+    flags only where the 6k-1 flag is set, so only there are they tested."""
+    shell2 = bytearray(map(is_prime, range(6 * k0 - 1, 6 * (k0 + size) - 1, 6)))
+    germain = bytearray(size)
+    for i in compress(range(size), shell2):
+        germain[i] = is_prime(12 * (k0 + i) - 1)
+    return shell2, germain
+
+
 def _scan_segment(
-    bounds: tuple[int, int], use_sg_filter: bool
+    bounds: tuple[int, int], use_sg_filter: bool, cut: int, census: bool
 ) -> tuple[list[int], int, int]:
     """Scan [a, b]: the exceptional n, the Sophie Germain count, and how many
-    n the walk decided."""
+    n the walk decided.  `cut` bounds the steps (in k) of the progressions
+    that clear n; `census` takes the flags from `_census`, not `_sieve`."""
     a, b = bounds
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
     survivors = [n for n in (2, 3, 4) if a <= n <= b]
@@ -219,16 +283,19 @@ def _scan_segment(
     size = b // 6 - k0 + 1
     if size > 0:
         zeros = memoryview(bytes(size))
-        shell2, germain = _sieve(k0, size, zeros)
+        shell2, germain = _census(k0, size) if census else _sieve(k0, size, zeros)
         sg = int.from_bytes(germain, "little")
         sg_count += (int.from_bytes(shell2, "little") & sg).bit_count()
-        for step, k in _PROGRESSIONS:
+        for step, k in zip(*_progressions(cut)):
             i = k - k0 if k >= k0 else (k - k0) % step
             if i < size:
                 shell2[i::step] = zeros[: (size - 1 - i) // step + 1]
         if use_sg_filter:
             shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
-        survivors += compress(range(6 * k0, 6 * (k0 + size), 6), shell2)
+        i = shell2.find(1)
+        while i >= 0:
+            survivors.append(6 * (k0 + i))
+            i = shell2.find(1, i + 1)
     exceptional = [n for n in survivors if find_first_nonbasic(n) is None]
     return exceptional, sg_count, len(survivors)
 
@@ -245,7 +312,8 @@ def scan_exceptional(
     the filtered count in both.  The range is cut into segments of about
     SEGMENT values, at least one per worker; `workers` must be >= 1, is
     capped at the number of CPUs, and above 1 maps the segments over a
-    process pool.
+    process pool.  The cut and the choice of census or sieve (see the
+    module docstring) are made once, from hi and the width.
     """
     if lo < 2 or lo > hi:
         raise DomainError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
@@ -253,15 +321,27 @@ def scan_exceptional(
         raise DomainError(f"hi must be <= {MAX_SCAN_HI}, got {hi}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     start = time.perf_counter()
     width = hi - lo + 1
     count = min(width, max(workers, -(-width // SEGMENT)))
     segments = [
         (lo + i * width // count, lo + (i + 1) * width // count - 1) for i in range(count)
     ]
-    _base_primes(isqrt(2 * hi))  # forked workers inherit the cache
-    task = partial(_scan_segment, use_sg_filter=use_sg_filter)
+    # the plan: one cut and one way to the flags for the whole scan, so that
+    # neither SEGMENT nor the workers change `walked`
+    ks = max(0, hi // 6 - (max(lo, 6) + 5) // 6 + 1)
+    # a progression pays where it meets four k or more, and up to a step of
+    # 128 in any window: near MAX_SCAN_HI one walk costs more than all the
+    # 267 slices of those steps
+    cut = min(MAX_STEP, max(128, ks // 4))
+    census = CENSUS_COST * ks < isqrt(12 * hi)
+    # forked workers inherit both caches
+    _progressions(cut)
+    if not census:
+        _base_primes(isqrt(2 * hi))
+    task = partial(_scan_segment, use_sg_filter=use_sg_filter, cut=cut, census=census)
     if workers > 1 and count > 1:
         from concurrent.futures import ProcessPoolExecutor
 
