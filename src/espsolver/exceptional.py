@@ -23,25 +23,23 @@ n != 1 (mod 3).  If n = 2 (mod 3), then 3 divides 2n-1 > 3, so n-1 is no
 Sophie Germain prime, and the progression of step 3 from n = 5 (solution
 (2, 2, 2)) clears n.  So every n >= 5 that is live, or counted as a Sophie
 Germain candidate, is a multiple of 6.  A scan fixes one plan for all its
-segments, from hi and from K, the number of k in [lo, hi]:
+segments, from K, the number of k in [lo, hi]:
 
 - Flags: the k with 6k-1 prime (the live n = 6k) and the k with 12k-1
   prime (2n-1 prime, which the Sophie Germain filter also requires).
   `_sieve`, a sieve of Eratosthenes over k, makes them from the base primes
   q >= 5 up to sqrt(2*hi), cached once per process with the k at which
-  each q divides 6k-1 and 12k-1.  Where K is small next to those primes
-  (CENSUS_COST * K < sqrt(12*hi)), `_census` tests each k with `is_prime`
-  instead, and the cache is not built.  Near MAX_SCAN_HI that holds below
-  ~14 000 values: a 300-wide window there takes ~1 ms, against ~35 ms for
-  the sieve and ~0.1 s to fill its cache.
+  each q divides 6k-1 and 12k-1.  Near MAX_SCAN_HI the sieve passes over
+  all of them however narrow the window: ~35 ms a window, and ~0.1 s to
+  fill the cache once.
 - Progressions: each one of step p*x - 1 <= MAX_STEP whose step in k is at
   most the scan's cut, max(128, K/4), clears the n it hits, each of which
   has a proven non-basic solution.  A progression costs a slice per
   segment and saves the walks of the n it clears.  MAX_STEP = 512 (1 654
   progressions in k) was the best of 128, 512 and 2048 on [2, 10^8],
   while a 3000-wide window at 3*10^7 does best near 128 (267
-  progressions).  The table is built on a scan's first use, only as far
-  as that scan needs: ~1.5 ms for steps up to 128, 3-6 ms for all of it.
+  progressions).  The table is built whole on the first scan, in 3-6 ms,
+  and each scan takes its prefix up to the cut.
 - Segments of SEGMENT = 2^22 values, at least one per worker, bound the
   memory of a scan: its flags take ~0.7 MB per form, and the ints that
   count and filter them as much again.
@@ -53,7 +51,7 @@ answer does not depend on the plan; `walked`, the count of n left to the
 walk, depends on the cut and the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
 limit.  On one core (Python 3.11), [2, 10^8] takes ~0.8 s and [2, 10^7]
-~0.08 s; near MAX_SCAN_HI, a 3000-wide window takes ~7 ms, and a
+~0.08 s; near MAX_SCAN_HI, a 3000-wide window takes ~25 ms, and a
 10^6-wide one ~0.06 s once the base primes are cached.
 """
 
@@ -79,10 +77,6 @@ MAX_STEP = 512
 # Width of one sieve segment: bounds the memory of a scan and is the unit
 # of work handed to each worker.
 SEGMENT = 1 << 22
-# A scan of K values of k takes its 6k-1 and 12k-1 flags from `is_prime`,
-# k by k, when CENSUS_COST * K is below isqrt(12 * hi), the bound of the
-# base primes that `_sieve` would pass over.
-CENSUS_COST = 1500
 
 
 def is_sophie_germain(p: int) -> bool:
@@ -139,16 +133,14 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
         return {**self._asdict(), "exceptional": list(self.exceptional)}
 
 
-def _table(max_step: int, bound: int) -> tuple[array, array]:
+def _table(max_step: int) -> tuple[array, array]:
     """Step and first k of the r >= 3 progressions with step <= max_step,
-    restricted to the n = 6k, whose step in k is at most `bound`: two
-    columns sorted by step.
+    restricted to the n = 6k: two columns sorted by step.
 
     A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
     that step and class are merged into the one that starts first.
     """
-    max_step = min(max_step, 6 * bound)  # step in k = d / gcd(d, 6) >= d / 6
     # first k by step and class, packed in one int: half the peak memory of
     # a tuple key
     first: dict[int, int] = {}
@@ -161,7 +153,7 @@ def _table(max_step: int, bound: int) -> tuple[array, array]:
                 d = p * x - 1
                 g = gcd(d, 6)
                 n0 = p * x * x - s - 2 * x + r
-                if d <= g * bound and n0 % g == 0:
+                if n0 % g == 0:
                     # 6k = n0 (mod d) exactly for k = res (mod step)
                     step = d // g
                     res = n0 // g * pow(6 // g, -1, step) % step
@@ -178,24 +170,17 @@ def _table(max_step: int, bound: int) -> tuple[array, array]:
     return array("q", [key >> 32 for key in keys]), array("q", [first[key] for key in keys])
 
 
-# `_table(max_step, bound)`, built on a scan's first use, grown when a scan
-# needs longer steps in k, and built again if MAX_STEP has been changed.
-_PROGRESSIONS: tuple[int, int, array, array] = (0, 0, array("q"), array("q"))
+# `_table(MAX_STEP)`, built on a scan's first use.
+_PROGRESSIONS: tuple[array, array] | None = None
 
 
 def _progressions(cut: int) -> tuple[array, array]:
-    """The columns of `_table(MAX_STEP, cut)`, from the cached table.
-
-    The table for a larger bound holds the same progressions, with the same
-    first k, for every step in k up to `cut`, so its prefix serves.
-    """
+    """The progressions of step in k at most `cut`: a prefix of the cached
+    table."""
     global _PROGRESSIONS
-    max_step, bound, steps, firsts = _PROGRESSIONS
-    if bound < cut or max_step != MAX_STEP:
-        # a power of two, so that widening scans rebuild it seldom
-        max_step, bound = MAX_STEP, 1 << (cut - 1).bit_length()
-        steps, firsts = _table(max_step, bound)
-        _PROGRESSIONS = max_step, bound, steps, firsts
+    if _PROGRESSIONS is None:
+        _PROGRESSIONS = _table(MAX_STEP)
+    steps, firsts = _PROGRESSIONS
     count = bisect_right(steps, cut)
     return steps[:count], firsts[:count]
 
@@ -257,24 +242,12 @@ def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]
     return _form(6, k0, size, qs, r6, zeros), _form(12, k0, size, qs, r12, zeros)
 
 
-def _census(k0: int, size: int) -> tuple[bytearray, bytearray]:
-    """Flags of 6k-1 prime and of 6k-1 and 12k-1 both prime, for k = k0 ...
-    k0 + size - 1, from `is_prime` k by k: cheaper than `_sieve` where the
-    window is narrow next to its base primes.  The scan reads the 12k-1
-    flags only where the 6k-1 flag is set, so only there are they tested."""
-    shell2 = bytearray(map(is_prime, range(6 * k0 - 1, 6 * (k0 + size) - 1, 6)))
-    germain = bytearray(size)
-    for i in compress(range(size), shell2):
-        germain[i] = is_prime(12 * (k0 + i) - 1)
-    return shell2, germain
-
-
 def _scan_segment(
-    bounds: tuple[int, int], use_sg_filter: bool, cut: int, census: bool
+    bounds: tuple[int, int], use_sg_filter: bool, cut: int
 ) -> tuple[list[int], int, int]:
     """Scan [a, b]: the exceptional n, the Sophie Germain count, and how many
     n the walk decided.  `cut` bounds the steps (in k) of the progressions
-    that clear n; `census` takes the flags from `_census`, not `_sieve`."""
+    that clear n."""
     a, b = bounds
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
     survivors = [n for n in (2, 3, 4) if a <= n <= b]
@@ -283,7 +256,7 @@ def _scan_segment(
     size = b // 6 - k0 + 1
     if size > 0:
         zeros = memoryview(bytes(size))
-        shell2, germain = _census(k0, size) if census else _sieve(k0, size, zeros)
+        shell2, germain = _sieve(k0, size, zeros)
         sg = int.from_bytes(germain, "little")
         sg_count += (int.from_bytes(shell2, "little") & sg).bit_count()
         for step, k in zip(*_progressions(cut)):
@@ -312,8 +285,8 @@ def scan_exceptional(
     the filtered count in both.  The range is cut into segments of about
     SEGMENT values, at least one per worker; `workers` must be >= 1, is
     capped at the number of CPUs, and above 1 maps the segments over a
-    process pool.  The cut and the choice of census or sieve (see the
-    module docstring) are made once, from hi and the width.
+    process pool.  The cut of the progressions (see the module docstring)
+    is fixed once, from the width.
     """
     if lo < 2 or lo > hi:
         raise DomainError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
@@ -329,19 +302,17 @@ def scan_exceptional(
     segments = [
         (lo + i * width // count, lo + (i + 1) * width // count - 1) for i in range(count)
     ]
-    # the plan: one cut and one way to the flags for the whole scan, so that
-    # neither SEGMENT nor the workers change `walked`
+    # one cut for the whole scan, so that neither SEGMENT nor the workers
+    # change `walked`
     ks = max(0, hi // 6 - (max(lo, 6) + 5) // 6 + 1)
     # a progression pays where it meets four k or more, and up to a step of
     # 128 in any window: near MAX_SCAN_HI one walk costs more than all the
     # 267 slices of those steps
     cut = min(MAX_STEP, max(128, ks // 4))
-    census = CENSUS_COST * ks < isqrt(12 * hi)
     # forked workers inherit both caches
     _progressions(cut)
-    if not census:
-        _base_primes(isqrt(2 * hi))
-    task = partial(_scan_segment, use_sg_filter=use_sg_filter, cut=cut, census=census)
+    _base_primes(isqrt(2 * hi))
+    task = partial(_scan_segment, use_sg_filter=use_sg_filter, cut=cut)
     if workers > 1 and count > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -206,7 +206,7 @@ class TestScan:
     def test_ascending_windows_sieve_the_base_primes_once(self, monkeypatch):
         # Two windows 10^5 apart on either side of the hi at which the exact
         # bound isqrt(2 * hi) grows by one: an exact-size cache would be
-        # sieved again for the second.  Both windows are wide enough to sieve.
+        # sieved again for the second.
         monkeypatch.setattr(exceptional, "_BASE", (0, array("i"), array("i"), array("i")))
         m = isqrt(2 * MAX_SCAN_HI) - 1
         edge = -(-((m + 1) ** 2) // 2)  # the least hi with isqrt(2 * hi) = m + 1
@@ -315,51 +315,10 @@ class TestSieve:
         self.assert_flags_are_primality(k0, size)
 
 
-class TestCensus:
-    """`_census` against `is_prime`, k by k, on both sides of the width below
-    which a scan takes its flags from it."""
-
-    @staticmethod
-    def assert_flags_are_primality(k0, size):
-        shell2, germain = exceptional._census(k0, size)
-        ks = range(k0, k0 + size)
-        assert list(shell2) == [is_prime(6 * k - 1) for k in ks], (k0, size)
-        # the scan reads the 12k-1 flags only where 6k-1 is prime
-        assert list(germain) == [is_prime(6 * k - 1) and is_prime(12 * k - 1) for k in ks]
-
-    @pytest.mark.parametrize("hi", [3 * 10**7, 10**10, MAX_SCAN_HI])
-    @pytest.mark.parametrize("beyond", [0, 1])
-    def test_either_side_of_the_crossover(self, monkeypatch, hi, beyond):
-        # the widest window in k that ends at hi and still takes the census,
-        # or one k wider
-        ks = (isqrt(12 * hi) - 1) // exceptional.CENSUS_COST + beyond
-        k0 = hi // 6 - ks + 1
-        self.assert_flags_are_primality(k0, ks)
-        base_primes, sieved = exceptional._base_primes, []
-        monkeypatch.setattr(
-            exceptional, "_base_primes", lambda m: sieved.append(m) or base_primes(m)
-        )
-        census = scanned(6 * k0, hi, False)
-        assert bool(sieved) == bool(beyond)
-        monkeypatch.setattr(exceptional, "CENSUS_COST", 10**8)  # sieve every window
-        assert census == scanned(6 * k0, hi, False)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(
-        st.one_of(
-            st.integers(min_value=1, max_value=300),
-            st.integers(min_value=1, max_value=MAX_SCAN_HI // 6 - 300),
-        ),
-        st.integers(min_value=1, max_value=300),
-    )
-    def test_random_windows(self, k0, size):
-        self.assert_flags_are_primality(k0, size)
-
-
 class TestPlan:
-    """The plan of a scan (SEGMENT, the cut, census or sieve, the workers)
-    changes its work, never its answer; and of its work, only the cut and
-    the filter change `walked`."""
+    """The plan of a scan (SEGMENT, the cut, the workers) changes its work,
+    never its answer; and of its work, only the cut and the filter change
+    `walked`."""
 
     @settings(
         max_examples=30,
@@ -374,35 +333,25 @@ class TestPlan:
         st.integers(min_value=0, max_value=3000),
         st.sampled_from([7, 1000, 1 << 22]),
         st.sampled_from([0, 7, 128, 512]),
-        st.booleans(),
         st.sampled_from([1, 2]),
         st.booleans(),
     )
     def test_answer_does_not_depend_on_the_plan(
-        self, monkeypatch, fake_pool, lo, width, segment, max_step, census, workers, use_sg_filter
+        self, monkeypatch, fake_pool, lo, width, segment, max_step, workers, use_sg_filter
     ):
         # high windows are kept narrow: a 7-wide segment sieves on its own
         hi = lo + (width if lo < 10**6 else width // 10)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with monkeypatch.context() as plan:
             plan.setattr(exceptional, "MAX_STEP", max_step)
+            plan.setattr(exceptional, "_PROGRESSIONS", None)
             plain = scan_exceptional(lo, hi, use_sg_filter)
             plan.setattr(exceptional, "SEGMENT", segment)
-            plan.setattr(exceptional, "CENSUS_COST", 0 if census else 10**8)
             planned = scan_exceptional(lo, hi, use_sg_filter, workers)
         expected = per_n(lo, hi)
         assert (plain.exceptional, plain.sg_candidates) == expected
         assert (planned.exceptional, planned.sg_candidates) == expected
         assert planned.walked == plain.walked
-
-    def test_the_table_follows_max_step(self, monkeypatch):
-        # the cached table is built again when MAX_STEP changes, so a scan's
-        # work does not depend on what the process scanned before
-        scan_exceptional(2, 10**5)
-        monkeypatch.setattr(exceptional, "MAX_STEP", 7)
-        after_a_full_table = scan_exceptional(2, 10**5).walked
-        monkeypatch.setattr(exceptional, "_PROGRESSIONS", (0, 0, array("q"), array("q")))
-        assert scan_exceptional(2, 10**5).walked == after_a_full_table
 
 
 class TestSieveAgainstWalk:
