@@ -69,7 +69,7 @@ def cmd_scan(args: Args) -> int:
 FLAGS = {
     "--json": (None, False, "print one JSON document"),
     "--sg-filter": (None, False, "check only n with n-1 a Sophie Germain prime"),
-    "--workers": ("K", 1, "scan in K processes, at most one per CPU"),
+    "--workers": ("K", 1, "scan in K processes, at most one per CPU and per segment"),
 }
 
 # Each command: its handler, its integer operands, the flags it accepts and

@@ -40,9 +40,10 @@ segments, from K, the number of k in [lo, hi]:
   while a 3000-wide window at 3*10^7 does best near 128 (267
   progressions).  The table is built whole on the first scan, in 3-6 ms,
   and each scan takes its prefix up to the cut.
-- Segments of SEGMENT = 2^22 values, at least one per worker, bound the
-  memory of a scan: its flags take ~0.7 MB per form, and the ints that
-  count and filter them as much again.
+- Segments: the k-window is cut into ceil(K / SEGMENT) segments of SEGMENT
+  k (2^22 values of n), whatever the workers.  They bound the memory of a
+  scan: its flags take ~0.7 MB per form, and the ints that count and
+  filter them as much again.  A pool starts only for two or more of them.
 
 What is left is decided by `find_first_nonbasic`, which stops at the first
 non-basic solution that the solver's product-bounded walk
@@ -74,9 +75,9 @@ from .solver import MAX_SCAN_HI, is_prime, walk_shell
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
-# Width of one sieve segment: bounds the memory of a scan and is the unit
-# of work handed to each worker.
-SEGMENT = 1 << 22
+# Width in k of one sieve segment, 2^22 values of n: bounds the memory of a
+# scan and is the unit of work handed to each worker.
+SEGMENT = (1 << 22) // 6
 
 
 def is_sophie_germain(p: int) -> bool:
@@ -243,32 +244,27 @@ def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]
 
 
 def _scan_segment(
-    bounds: tuple[int, int], use_sg_filter: bool, cut: int
+    segment: tuple[int, int], use_sg_filter: bool, cut: int
 ) -> tuple[list[int], int, int]:
-    """Scan [a, b]: the exceptional n, the Sophie Germain count, and how many
-    n the walk decided.  `cut` bounds the steps (in k) of the progressions
-    that clear n."""
-    a, b = bounds
-    # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
-    survivors = [n for n in (2, 3, 4) if a <= n <= b]
-    sg_count = len(survivors)
-    k0 = (max(a, 6) + 5) // 6
-    size = b // 6 - k0 + 1
-    if size > 0:
-        zeros = memoryview(bytes(size))
-        shell2, germain = _sieve(k0, size, zeros)
-        sg = int.from_bytes(germain, "little")
-        sg_count += (int.from_bytes(shell2, "little") & sg).bit_count()
-        for step, k in zip(*_progressions(cut)):
-            i = k - k0 if k >= k0 else (k - k0) % step
-            if i < size:
-                shell2[i::step] = zeros[: (size - 1 - i) // step + 1]
-        if use_sg_filter:
-            shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
-        i = shell2.find(1)
-        while i >= 0:
-            survivors.append(6 * (k0 + i))
-            i = shell2.find(1, i + 1)
+    """Scan the n = 6k for k = k0 ... k0 + size - 1, k0 >= 1: the exceptional
+    n, the Sophie Germain count, and how many n the walk decided.  `cut`
+    bounds the steps (in k) of the progressions that clear n."""
+    k0, size = segment
+    zeros = memoryview(bytes(size))
+    shell2, germain = _sieve(k0, size, zeros)
+    sg = int.from_bytes(germain, "little")
+    sg_count = (int.from_bytes(shell2, "little") & sg).bit_count()
+    for step, k in zip(*_progressions(cut)):
+        i = k - k0 if k >= k0 else (k - k0) % step
+        if i < size:
+            shell2[i::step] = zeros[: (size - 1 - i) // step + 1]
+    if use_sg_filter:
+        shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
+    survivors = []
+    i = shell2.find(1)
+    while i >= 0:
+        survivors.append(6 * (k0 + i))
+        i = shell2.find(1, i + 1)
     exceptional = [n for n in survivors if find_first_nonbasic(n) is None]
     return exceptional, sg_count, len(survivors)
 
@@ -282,11 +278,11 @@ def scan_exceptional(
     are live; with it off, every n with n-1 prime is, and the progressions
     and the walk decide each of them.  The filter is a proven necessary
     condition, so both modes find the same values, and `sg_candidates` is
-    the filtered count in both.  The range is cut into segments of about
-    SEGMENT values, at least one per worker; `workers` must be >= 1, is
-    capped at the number of CPUs, and above 1 maps the segments over a
-    process pool.  The cut of the progressions (see the module docstring)
-    is fixed once, from the width.
+    the filtered count in both.  The plan (see the module docstring) is
+    fixed by [lo, hi] alone: its k-window is cut into segments of SEGMENT
+    k, and the cut of the progressions follows the window's width.
+    `workers` must be >= 1 and only sizes the pool: the segments are mapped
+    over min(workers, segments, CPUs) processes, and in-process below two.
     """
     if lo < 2 or lo > hi:
         raise DomainError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
@@ -294,32 +290,31 @@ def scan_exceptional(
         raise DomainError(f"hi must be <= {MAX_SCAN_HI}, got {hi}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
     start = time.perf_counter()
-    width = hi - lo + 1
-    count = min(width, max(workers, -(-width // SEGMENT)))
-    segments = [
-        (lo + i * width // count, lo + (i + 1) * width // count - 1) for i in range(count)
-    ]
-    # one cut for the whole scan, so that neither SEGMENT nor the workers
-    # change `walked`
-    ks = max(0, hi // 6 - (max(lo, 6) + 5) // 6 + 1)
+    # the k-window: the n = 6k in [max(lo, 6), hi]
+    k0, end = (max(lo, 6) + 5) // 6, hi // 6 + 1
+    segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
     # a progression pays where it meets four k or more, and up to a step of
     # 128 in any window: near MAX_SCAN_HI one walk costs more than all the
     # 267 slices of those steps
-    cut = min(MAX_STEP, max(128, ks // 4))
+    cut = min(MAX_STEP, max(128, (end - k0) // 4))
     # forked workers inherit both caches
     _progressions(cut)
     _base_primes(isqrt(2 * hi))
     task = partial(_scan_segment, use_sg_filter=use_sg_filter, cut=cut)
-    if workers > 1 and count > 1:
+    # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
+    small = [n for n in (2, 3, 4) if lo <= n <= hi]
+    parts = [([n for n in small if find_first_nonbasic(n) is None], len(small), len(small))]
+    processes = min(workers, len(segments))
+    if processes > 1:
+        processes = min(processes, os.cpu_count() or 1)
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, segments))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            parts += pool.map(task, segments)
     else:
-        parts = list(map(task, segments))
+        parts += map(task, segments)
     exceptional = [n for part, _, _ in parts for n in part]
     sg_count = sum(sg for _, sg, _ in parts)
     walked = sum(w for _, _, w in parts)

@@ -13,6 +13,16 @@ it, from a factorization (trial division by the primes up to 37, then
 `is_prime` and Pollard's rho with Floyd's cycle search).  Full solves up
 to MAX_SOLVE_N rarely meet such a range.  The first-hit walks of a scan
 near 10^12 do: there a survivor's walk fell from ~0.1 s to under 1 ms.
+With the factoring turned off (MAX_TRIAL out of reach), every scan
+measured slowed, with the same answers (in-process, one core of a 2-vCPU
+host, Python 3.11; walks and factored levels with it on):
+
+- [2, 10^9], filtered: 7.4-7.7 s -> 13.7-13.8 s (1 447 walks, 10 935
+  factored levels);
+- [10^12 - 10^6, 10^12]: 73 -> 128-130 ms filtered (1 walk, 2 levels),
+  73-74 -> 157-171 ms unfiltered (4 walks, 5 levels);
+- 40 unfiltered 3000-wide windows in [2.5*10^7, 3.5*10^7]: 29-32 ->
+  32-37 ms (13 walks, 34 levels).
 
 The paper's memoized recursion, which the walk is tested against, lives
 in `reference`; nothing here calls it.

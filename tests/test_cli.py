@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import espsolver
+from espsolver import exceptional
 from espsolver.cli import main
 from espsolver.core import Solution
 from espsolver.exceptional import MAX_SCAN_HI, scan_exceptional
@@ -192,6 +193,7 @@ class TestWorkersCap:
     @pytest.mark.parametrize("cpus,expected", [(3, [3]), (1, []), (None, [])])
     def test_capped_at_cpu_count(self, capsys, monkeypatch, fake_pool, cpus, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(exceptional, "SEGMENT", 40)  # 166 k in 5 segments
         assert main(["scan", "2", "1000", "--sg-filter", "--workers", "64"]) == 0
         assert "exceptional: 2 3 4 6 24 114 174 444" in capsys.readouterr().out
         assert fake_pool.sizes == expected
@@ -200,6 +202,7 @@ class TestWorkersCap:
         # A segment task carries the filter flag only; workers build or
         # inherit the base primes themselves.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(exceptional, "SEGMENT", 100)  # 500 k in 5 segments
         assert main(["scan", str(MAX_SCAN_HI - 3000), str(MAX_SCAN_HI), "--workers", "2"]) == 0
         assert fake_pool.sizes == [2]
         assert 0 < fake_pool.task_bytes[0] < 200

@@ -153,7 +153,9 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_exceptional(1, 5)
 
-    def test_workers_match_single(self):
+    def test_workers_match_single(self, monkeypatch):
+        # 83 k in two segments, so a real pool starts
+        monkeypatch.setattr(exceptional, "SEGMENT", 42)
         solo = scan_exceptional(2, 500, use_sg_filter=True, workers=1)
         multi = scan_exceptional(2, 500, use_sg_filter=True, workers=3)
         assert solo.exceptional == multi.exceptional
@@ -196,12 +198,15 @@ class TestScan:
         report = scan_exceptional(2, hi)
         assert (report.exceptional, report.sg_candidates) == (KNOWN_EXCEPTIONAL, sg)
 
-    def test_workers_are_counted_only_when_asked_for(self, monkeypatch):
+    def test_workers_are_counted_only_when_asked_for(self, monkeypatch, fake_pool):
         def refuse():
-            raise AssertionError("cpu_count called for one worker")
+            raise AssertionError("cpu_count called for one worker or one segment")
 
         monkeypatch.setattr(os, "cpu_count", refuse)
         assert scan_exceptional(2, 1000).exceptional == KNOWN_EXCEPTIONAL
+        # one segment: no pool, however many workers are asked for
+        assert scan_exceptional(2, 1000, True, 64).exceptional == KNOWN_EXCEPTIONAL
+        assert fake_pool.sizes == []
 
     def test_ascending_windows_sieve_the_base_primes_once(self, monkeypatch):
         # Two windows 10^5 apart on either side of the hi at which the exact
@@ -415,11 +420,12 @@ class TestSieveAgainstWalk:
         assert filtered.exceptional == unfiltered.exceptional == []
         assert filtered.sg_candidates == unfiltered.sg_candidates == sg
 
-    @pytest.mark.parametrize("lo,hi", [(2, 3), (2, 5000), (400, 470), (10**6, 10**6 + 2000)])
+    # each range holds at least two segments of 7 k
+    @pytest.mark.parametrize("lo,hi", [(2, 50), (2, 5000), (400, 470), (10**6, 10**6 + 2000)])
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     def test_two_workers_match_one(self, monkeypatch, fake_pool, lo, hi, use_sg_filter):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(exceptional, "SEGMENT", 1000)
+        monkeypatch.setattr(exceptional, "SEGMENT", 7)
         pooled = scan_exceptional(lo, hi, use_sg_filter, workers=2)
         assert fake_pool.sizes == [2]
         solo = scan_exceptional(lo, hi, use_sg_filter, workers=1)
