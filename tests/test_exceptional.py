@@ -420,14 +420,17 @@ class TestSieveAgainstWalk:
         assert filtered.exceptional == unfiltered.exceptional == []
         assert filtered.sg_candidates == unfiltered.sg_candidates == sg
 
-    # each range holds at least two segments of 7 k
-    @pytest.mark.parametrize("lo,hi", [(2, 50), (2, 5000), (400, 470), (10**6, 10**6 + 2000)])
+    # each range but [2, 3] holds at least two segments of 7 k; [2, 3] holds
+    # no n = 6k, so no segment, and no pool starts
+    @pytest.mark.parametrize(
+        "lo,hi", [(2, 3), (2, 50), (2, 5000), (400, 470), (10**6, 10**6 + 2000)]
+    )
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     def test_two_workers_match_one(self, monkeypatch, fake_pool, lo, hi, use_sg_filter):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(exceptional, "SEGMENT", 7)
         pooled = scan_exceptional(lo, hi, use_sg_filter, workers=2)
-        assert fake_pool.sizes == [2]
+        assert fake_pool.sizes == ([] if hi < 6 else [2])
         solo = scan_exceptional(lo, hi, use_sg_filter, workers=1)
         assert (pooled.exceptional, pooled.sg_candidates, pooled.walked) == (
             solo.exceptional,
