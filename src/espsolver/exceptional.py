@@ -47,7 +47,7 @@ segments, from K, the number of k in [lo, hi]:
 
 What is left is decided by `find_first_nonbasic`, which stops at the first
 non-basic solution that the solver's product-bounded walk
-(`solver.walk_shell`) yields.  Clearing and walking are both exact, so the
+(`solver.walk_shells`) finds.  Clearing and walking are both exact, so the
 answer does not depend on the plan; `walked`, the count of n left to the
 walk, depends on the cut and the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
@@ -71,7 +71,7 @@ from .core import DomainError, Solution
 
 # Re-exported only for bench/tracing.py; see the note in `solver`.
 from .reference import MemoStore, calc_shell  # noqa: F401
-from .solver import MAX_SCAN_HI, is_prime, walk_shell
+from .solver import MAX_SCAN_HI, is_prime, walk_shell, walk_shells
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
@@ -93,8 +93,9 @@ def find_first_nonbasic(n: int) -> Solution | None:
     When n-1 is composite, the smallest non-basic member of S_2(n) is the
     second item of `walk_shell(n, 2)`.  Otherwise (n = 2, or n-1 prime,
     which `is_prime` settles far faster than the walk) S_2(n) holds only
-    the basic solution, and the answer is the first member `walk_shell`
-    finds in r = 3, 4, ..., floor(log2 n) + 1.
+    the basic solution, and the answer is the first member of the lowest
+    non-empty shell r = 3, 4, ..., floor(log2 n) + 1: a one-shell
+    `walk_shells` that stops at its first member.
     """
     if not 2 <= n <= MAX_SCAN_HI:
         raise DomainError(f"n must be in [2, {MAX_SCAN_HI}], got {n}")
@@ -103,9 +104,9 @@ def find_first_nonbasic(n: int) -> Solution | None:
         next(shell)  # the basic solution comes first
         return next(shell)
     for r in range(3, n.bit_length() + 1):
-        hit = next(walk_shell(n, r), None)
-        if hit is not None:
-            return hit
+        hit = walk_shells(n, r, r, limit=1)
+        if hit:
+            return hit[0]
     return None
 
 

@@ -1,11 +1,26 @@
 """Construction of the solution sets S_r(n).
 
-The engine, `calc_solution`, takes every S_r(n), r = 2 ... floor(log2 n)
-+ 1, from `walk_shell`, a product-bounded walk over ascending components
-that solves for the largest one; for r = 2 it reads the divisor pairs of
-n-1. A solve takes about 0.1 ms at n = 700, 1 ms at n = 10^4, 20 ms at
-10^6 and 1.5 s at 10^8 (one core, Python 3.11), a little under linear in
-n at large n, so `calc_solution` accepts n up to MAX_SOLVE_N.
+The engine, `calc_solution`, builds every S_r(n), r = 2 ... floor(log2 n)
++ 1, in one depth-first walk over ascending prefixes of components
+(`walk_shells`).  A prefix of r - 2 components solves the last level of
+shell r, the two largest components, by one remainder per step; for r = 2
+the prefix is empty and the last level reads off the divisor pairs of
+n-1.  A prefix is extended while the product bound of the shallowest
+shell its child serves holds, the loosest of their bounds, so a prefix
+that several shells share is visited once.  `walk_shell(n, r)` is the
+same walk confined to one shell and bounded by that shell's own bound.
+A separate walk per shell would visit more prefixes for the same
+last-level steps:
+
+    n       prefix visits (walk per shell -> one walk)   last-level steps
+    800                   89 -> 45                             216
+    10^4                 492 -> 305                          2 310
+    10^6              14 591 -> 11 743                     193 371
+
+A solve takes about 0.05 ms at n = 700, 0.4 ms at 10^4, 20 ms at 10^6,
+0.17 s at 10^7 and 1.4 s at 10^8 (one core of a 2-vCPU host, Python
+3.11), a little under linear in n at large n, so `calc_solution` accepts
+n up to MAX_SOLVE_N.
 
 The walk's last level tries one divisor per step of a range; a range of
 more than MAX_TRIAL steps is replaced by the divisors of m that lie in
@@ -39,7 +54,7 @@ from .core import DomainError, Solution
 # bench/workloads.py and bench/tracing.py, which read or patch them by name.
 from .reference import MemoStore, build_s2, calc_shell, reference_solution  # noqa: F401
 
-# Largest n `calc_solution` accepts; the walk takes about 1.5 s there.
+# Largest n `calc_solution` accepts; the walk takes about 1.4 s there.
 MAX_SOLVE_N = 10**8
 # Largest n `walk_shell` accepts, and so the scan's limit: up to it a factored
 # last level's m is below 2^64, where `is_prime` is exact.
@@ -137,6 +152,55 @@ def _divisors(m: int, low: int, top: int, p: int) -> list[int]:
     return sorted(d for d in divisors if d >= low and (d + 1) % p == 0)
 
 
+def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]:
+    """The members of S_r(n), first <= r <= last, in depth-first order (one
+    shell's come out ascending); only the first `limit` if limit > 0.  The
+    callers check 2 <= n <= MAX_SCAN_HI.
+
+    One walk builds every shell asked for.  A prefix of r - 2 ascending
+    components, with product p and sum s, solves the last level of shell r
+    (see `walk_shell`), and its children extend it by one component x >=
+    its last.  A child serves the shells max(r + 1, first) ... last, and
+    is visited while the bound of the shallowest of them holds.  That is
+    the loosest of their bounds: with L components still to place in shell
+    r', p*x^L - L*x <= s + n - r' reads p*x^L - L*(x - 1) <= s + n - r + 2,
+    and the left side grows with L.  With first = last the walk is one
+    shell's walk, bounded by that shell's own bound.
+    """
+    found: list[Solution] = []
+
+    def visit(prefix: tuple[int, ...], p: int, s: int, lo: int, r: int) -> bool:
+        # the prefix has r - 2 components, p their product and s their sum
+        if r < first:
+            child = first
+        else:
+            child = r + 1
+            num = s + n - r
+            m = p * num + 1
+            low, top = p * lo - 1, isqrt(m)
+            steps = range(low, top + 1, p)
+            if len(steps) > MAX_TRIAL:
+                steps = _divisors(m, low, top, p)
+            for d in steps:
+                if not m % d:
+                    x = (d + 1) // p
+                    found.append(Solution(prefix + (x, (num + x) // d), n - r))
+                    if len(found) == limit:
+                        return True
+        if child <= last:
+            left = child - r + 2  # components still to place in shell `child`, x included
+            num = s + n - child
+            x = lo
+            while p * x**left - left * x <= num:
+                if visit(prefix + (x,), p * x, s + x, x, r + 1):
+                    return True
+                x += 1
+        return False
+
+    visit((), 1, 0, 2, 2)
+    return found
+
+
 def walk_shell(n: int, r: int) -> Iterator[Solution]:
     """Yield S_r(n) for r >= 2, ascending by non-unit components.
 
@@ -162,36 +226,20 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
     the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
     under 2^64 for n <= MAX_SCAN_HI, where `is_prime` is exact; so `walk_shell`
     accepts 2 <= n <= MAX_SCAN_HI.
+
+    The shell is `walk_shells(n, r, r)`, built whole before the first item
+    is yielded; a caller that wants only its first members passes a limit
+    to `walk_shells` instead.
     """
     if not 2 <= n <= MAX_SCAN_HI or r < 2:
         raise DomainError(f"need 2 <= n <= {MAX_SCAN_HI} and r >= 2, got ({n}, {r})")
-    units = n - r
-
-    def walk(prefix: tuple[int, ...], p: int, s: int, lo: int) -> Iterator[Solution]:
-        left = r - len(prefix)  # components still to place, the last two included
-        num = s + units
-        if left > 2:
-            x = lo
-            while p * x**left - left * x <= num:
-                yield from walk(prefix + (x,), p * x, s + x, x)
-                x += 1
-            return
-        m = p * num + 1
-        low, top = p * lo - 1, isqrt(m)
-        steps = range(low, top + 1, p)
-        if len(steps) > MAX_TRIAL:
-            steps = _divisors(m, low, top, p)
-        for d in steps:
-            if not m % d:
-                x = (d + 1) // p
-                yield Solution(prefix + (x, (num + x) // d), units)
-
-    yield from walk((), 1, 0, 2)
+    yield from walk_shells(n, r, r)
 
 
 def calc_solution(n: int, memo: object = None) -> set[Solution]:
     """All ESP solutions for n variables, for 2 <= n <= MAX_SOLVE_N: the
-    union of `walk_shell(n, r)` for r = 2 ... floor(log2 n) + 1.
+    union of S_r(n) for r = 2 ... floor(log2 n) + 1, from one
+    `walk_shells` pass over every shell.
 
     `memo` is accepted for callers that pass one and is not used; the walk
     keeps no state between calls.
@@ -200,7 +248,4 @@ def calc_solution(n: int, memo: object = None) -> set[Solution]:
         raise DomainError(f"n must be >= 2, got {n}")
     if n > MAX_SOLVE_N:
         raise DomainError(f"n must be <= {MAX_SOLVE_N}, got {n}")
-    result: set[Solution] = set()
-    for r in range(2, n.bit_length() + 1):
-        result.update(walk_shell(n, r))
-    return result
+    return set(walk_shells(n, 2, n.bit_length()))

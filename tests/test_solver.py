@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import count, islice
 from math import prod
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from espsolver import solver
 from espsolver.core import DomainError, Solution, common_value, is_basic, validate
+from espsolver.exceptional import find_first_nonbasic
 from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
 from espsolver.reference import MemoStore, build_s2, reference_solution
 from espsolver.solver import (
@@ -153,6 +154,46 @@ class TestFactoredLastLevel:
         assert calls == [(10**7 - 1, 1, 3162, 1)]
 
 
+class TestIsPrime:
+    def test_one_not_prime(self):
+        assert not is_prime(1)
+
+    def test_113(self):
+        assert is_prime(113)
+
+    def test_887(self):
+        assert is_prime(887)
+
+    def test_agrees_with_trial_division(self):
+        for m in range(0, 10_000):
+            naive = m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+            assert is_prime(m) == naive, m
+
+    @pytest.mark.parametrize(
+        "m,expected",
+        [
+            (2, True),
+            (561, False),  # Carmichael number
+            (2**31 - 1, True),
+            (2**61 - 1, True),
+            (2**64 - 59, True),  # largest prime below 2^64
+            (2**64 - 1, False),
+            (3215031751, False),  # strong pseudoprime to bases 2,3,5,7
+            # the least strong pseudoprimes to the first 1, 2, 3, 5, 6, 7
+            # and 9 prime bases
+            (2047, False),
+            (1373653, False),
+            (25326001, False),
+            (2152302898747, False),
+            (3474749660383, False),
+            (341550071728321, False),
+            (3825123056546413051, False),
+        ],
+    )
+    def test_known_values(self, m, expected):
+        assert is_prime(m) == expected
+
+
 class TestFactorization:
     @pytest.mark.parametrize(
         "m",
@@ -212,3 +253,36 @@ class TestEngineAgreement:
     @given(st.integers(min_value=2, max_value=8))
     def test_matches_exhaustive_tiny(self, n):
         assert calc_solution(n) == exhaustive_tiny_solutions(n)
+
+
+def one_above_a_prime(m):
+    """The least n >= m + 1 with n - 1 prime."""
+    return next(q for q in count(m) if is_prime(q)) + 1
+
+
+class TestOneWalkAgainstOneShellWalks:
+    """The walk over every shell, whose children are bounded by the loosest
+    bound of the shells they serve, against one walk per shell, bounded by
+    that shell's own bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=10**6))
+    @example(720720)  # 19 members, in every shell from r = 2 to r = 6
+    def test_calc_solution_is_the_union_of_the_shells(self, n):
+        shells = set()
+        for r in range(2, n.bit_length() + 1):
+            shells.update(walk_shell(n, r))
+        assert calc_solution(n) == shells
+
+    @settings(max_examples=40, deadline=None)
+    # prime gaps below 10^7 are under 200, so n <= 10^7
+    @given(st.integers(min_value=1, max_value=10**7 - 200).map(one_above_a_prime))
+    # S_3(n) is empty and the first hit lies in r = 5 (42) or r = 6 (420);
+    # 444 is exceptional; 9_999_654 - 1 is a Sophie Germain prime
+    @example(42)
+    @example(420)
+    @example(444)
+    @example(9_999_654)
+    def test_first_nonbasic_is_the_first_member_of_the_lowest_shell(self, n):
+        first_members = (next(walk_shell(n, r), None) for r in range(3, n.bit_length() + 1))
+        assert find_first_nonbasic(n) == next(filter(None, first_members), None)
