@@ -154,46 +154,6 @@ class TestFactoredLastLevel:
         assert calls == [(10**7 - 1, 1, 3162, 1)]
 
 
-class TestIsPrime:
-    def test_one_not_prime(self):
-        assert not is_prime(1)
-
-    def test_113(self):
-        assert is_prime(113)
-
-    def test_887(self):
-        assert is_prime(887)
-
-    def test_agrees_with_trial_division(self):
-        for m in range(0, 10_000):
-            naive = m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
-            assert is_prime(m) == naive, m
-
-    @pytest.mark.parametrize(
-        "m,expected",
-        [
-            (2, True),
-            (561, False),  # Carmichael number
-            (2**31 - 1, True),
-            (2**61 - 1, True),
-            (2**64 - 59, True),  # largest prime below 2^64
-            (2**64 - 1, False),
-            (3215031751, False),  # strong pseudoprime to bases 2,3,5,7
-            # the least strong pseudoprimes to the first 1, 2, 3, 5, 6, 7
-            # and 9 prime bases
-            (2047, False),
-            (1373653, False),
-            (25326001, False),
-            (2152302898747, False),
-            (3474749660383, False),
-            (341550071728321, False),
-            (3825123056546413051, False),
-        ],
-    )
-    def test_known_values(self, m, expected):
-        assert is_prime(m) == expected
-
-
 class TestFactorization:
     @pytest.mark.parametrize(
         "m",
