@@ -24,10 +24,10 @@ def _display_order(solutions: set[Solution]) -> list[Solution]:
 
 
 def cmd_solve(args: Args) -> int:
-    solutions = calc_solution(args["n"])
-    if args["json"]:
+    solutions = calc_solution(args["N"])
+    if args["--json"]:
         doc = {
-            "n": args["n"],
+            "n": args["N"],
             "solutions": [s.as_dict() for s in _display_order(solutions)],
         }
         print(json.dumps(doc))
@@ -38,7 +38,7 @@ def cmd_solve(args: Args) -> int:
 
 
 def cmd_verify(args: Args) -> int:
-    nmax = args["nmax"]
+    nmax = args["NMAX"]
     if not 2 <= nmax <= oracle.MAX_N:
         raise DomainError(f"NMAX must be in [2, {oracle.MAX_N}], got {nmax}")
     checked = passed = 0
@@ -52,8 +52,8 @@ def cmd_verify(args: Args) -> int:
 
 
 def cmd_scan(args: Args) -> int:
-    report = scan_exceptional(args["lo"], args["hi"], args["sg_filter"], args["workers"])
-    if args["json"]:
+    report = scan_exceptional(args["LO"], args["HI"], args["--sg-filter"], args["--workers"])
+    if args["--json"]:
         print(json.dumps(report.as_dict()))
     else:
         values = " ".join(map(str, report.exceptional)) or "(none)"
@@ -73,7 +73,8 @@ FLAGS = {
 }
 
 # Each command: its handler, its integer operands, the flags it accepts and
-# what it does. The handler reads each operand and flag as args[_key(word)].
+# what it does. The handler reads each operand and flag by its word as spelled
+# here and in FLAGS: args["N"], args["--json"].
 COMMANDS: dict[str, tuple[Callable[[Args], int], tuple[str, ...], tuple[str, ...], str]] = {
     "solve": (cmd_solve, ("N",), ("--json",), "list all solutions for n = N"),
     "verify": (
@@ -89,11 +90,6 @@ COMMANDS: dict[str, tuple[Callable[[Args], int], tuple[str, ...], tuple[str, ...
         "list the exceptional n in [LO, HI]",
     ),
 }
-
-
-def _key(word: str) -> str:
-    """The args key of an operand or flag: N -> n, --sg-filter -> sg_filter."""
-    return word.lstrip("-").replace("-", "_").lower()
 
 
 def usage(commands: list[str]) -> str:
@@ -164,7 +160,7 @@ def parse(argv: list[str]) -> tuple[Callable[[Args], int], Args]:
         raise _usage_error(list(COMMANDS), f"{found} (choose from {', '.join(COMMANDS)})")
     name, *words = argv
     handler, operands, flags, _ = COMMANDS[name]
-    args = {_key(flag): FLAGS[flag][1] for flag in flags}
+    args = {flag: FLAGS[flag][1] for flag in flags}
     values = []
     rest = iter(words)
     for word in rest:
@@ -179,13 +175,13 @@ def parse(argv: list[str]) -> tuple[Callable[[Args], int], Args]:
         elif FLAGS[flag][0] is None:
             if equals:
                 raise _usage_error([name], f"argument {flag}: takes no value, got {value!r}")
-            args[_key(flag)] = True
+            args[flag] = True
         else:
             if not equals:
                 value = next(rest, None)
                 if value is None:
                     raise _usage_error([name], f"argument {flag}: expected one argument")
-            args[_key(flag)] = _integer(name, flag, value)
+            args[flag] = _integer(name, flag, value)
     if len(values) < len(operands):
         missing = ", ".join(operands[len(values):])
         raise _usage_error([name], f"the following arguments are required: {missing}")
@@ -193,7 +189,7 @@ def parse(argv: list[str]) -> tuple[Callable[[Args], int], Args]:
         extra = " ".join(values[len(operands):])
         raise _usage_error([name], f"unrecognized arguments: {extra}")
     for operand, value in zip(operands, values):
-        args[_key(operand)] = _integer(name, operand, value)
+        args[operand] = _integer(name, operand, value)
     return handler, args
 
 

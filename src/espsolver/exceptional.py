@@ -39,7 +39,7 @@ segments, from K, the number of k in [lo, hi]:
   progressions in k) was the best of 128, 512 and 2048 on [2, 10^8],
   while a 3000-wide window at 3*10^7 does best near 128 (267
   progressions).  The table is built whole on the first scan, in 3-6 ms,
-  and each scan takes its prefix up to the cut.
+  and cached by its bound; each scan takes its prefix up to the cut.
 - Segments: the k-window is cut into ceil(K / SEGMENT) segments of SEGMENT
   k (2^22 values of n), whatever the workers.  They bound the memory of a
   scan: its flags take ~0.7 MB per form, and the ints that count and
@@ -63,7 +63,7 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from itertools import compress
 from math import gcd, isqrt
 
@@ -71,7 +71,7 @@ from .core import DomainError, Solution
 
 # Re-exported only for bench/tracing.py; see the note in `solver`.
 from .reference import MemoStore, calc_shell  # noqa: F401
-from .solver import MAX_SCAN_HI, is_prime, walk_shell, walk_shells
+from .solver import MAX_SCAN_HI, is_prime, walk_shells
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
@@ -90,19 +90,18 @@ def find_first_nonbasic(n: int) -> Solution | None:
     """Return some non-basic ESP solution for n variables, or None, for
     2 <= n <= MAX_SCAN_HI.
 
-    When n-1 is composite, the smallest non-basic member of S_2(n) is the
-    second item of `walk_shell(n, 2)`.  Otherwise (n = 2, or n-1 prime,
-    which `is_prime` settles far faster than the walk) S_2(n) holds only
-    the basic solution, and the answer is the first member of the lowest
-    non-empty shell r = 3, 4, ..., floor(log2 n) + 1: a one-shell
-    `walk_shells` that stops at its first member.
+    Every shell is read by a one-shell `walk_shells` that stops early.
+    When n-1 is composite, the smallest non-basic member of S_2(n) is its
+    second member, after the basic solution: the walk of S_2 stops there.
+    Otherwise (n = 2, or n-1 prime, which `is_prime` settles far faster
+    than the walk) S_2(n) holds only the basic solution, and the answer is
+    the first member of the lowest non-empty shell r = 3, 4, ...,
+    floor(log2 n) + 1.
     """
     if not 2 <= n <= MAX_SCAN_HI:
         raise DomainError(f"n must be in [2, {MAX_SCAN_HI}], got {n}")
     if n > 2 and not is_prime(n - 1):
-        shell = walk_shell(n, 2)
-        next(shell)  # the basic solution comes first
-        return next(shell)
+        return walk_shells(n, 2, 2, limit=2)[1]
     for r in range(3, n.bit_length() + 1):
         hit = walk_shells(n, r, r, limit=1)
         if hit:
@@ -135,6 +134,7 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
         return {**self._asdict(), "exceptional": list(self.exceptional)}
 
 
+@cache
 def _table(max_step: int) -> tuple[array, array]:
     """Step and first k of the r >= 3 progressions with step <= max_step,
     restricted to the n = 6k: two columns sorted by step.
@@ -172,17 +172,11 @@ def _table(max_step: int) -> tuple[array, array]:
     return array("q", [key >> 32 for key in keys]), array("q", [first[key] for key in keys])
 
 
-# `_table(MAX_STEP)`, built on a scan's first use.
-_PROGRESSIONS: tuple[array, array] | None = None
-
-
 def _progressions(cut: int) -> tuple[array, array]:
-    """The progressions of step in k at most `cut`: a prefix of the cached
-    table."""
-    global _PROGRESSIONS
-    if _PROGRESSIONS is None:
-        _PROGRESSIONS = _table(MAX_STEP)
-    steps, firsts = _PROGRESSIONS
+    """The progressions of step in k at most `cut`: a prefix of
+    `_table(MAX_STEP)`, which is built on a scan's first use and cached
+    by its bound."""
+    steps, firsts = _table(MAX_STEP)
     count = bisect_right(steps, cut)
     return steps[:count], firsts[:count]
 

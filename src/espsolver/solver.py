@@ -202,7 +202,7 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
 
 
 def walk_shell(n: int, r: int) -> Iterator[Solution]:
-    """Yield S_r(n) for r >= 2, ascending by non-unit components.
+    """An iterator over S_r(n) for r >= 2, ascending by non-unit components.
 
     A member has components x_1 <= ... <= x_r >= 2 whose product equals
     their sum plus the n - r units.  The walk extends ascending prefixes
@@ -221,19 +221,19 @@ def walk_shell(n: int, r: int) -> Iterator[Solution]:
 
     When the last level spans more than MAX_TRIAL values of d, the walk
     factors m instead and takes its divisors d = -1 (mod p) in the same
-    range, ascending, so it yields the same members in the same order.  A
+    range, ascending, so it finds the same members in the same order.  A
     prime m has only 1 and m as divisors, and 1 is in the range only for
     the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
     under 2^64 for n <= MAX_SCAN_HI, where `is_prime` is exact; so `walk_shell`
-    accepts 2 <= n <= MAX_SCAN_HI.
+    accepts 2 <= n <= MAX_SCAN_HI, and checks n and r when called.
 
-    The shell is `walk_shells(n, r, r)`, built whole before the first item
-    is yielded; a caller that wants only its first members passes a limit
-    to `walk_shells` instead.
+    The iterator runs over `walk_shells(n, r, r)`, the whole shell, built
+    before it returns; a caller that wants only the first members passes a
+    limit to `walk_shells` instead, as `find_first_nonbasic` does.
     """
     if not 2 <= n <= MAX_SCAN_HI or r < 2:
         raise DomainError(f"need 2 <= n <= {MAX_SCAN_HI} and r >= 2, got ({n}, {r})")
-    yield from walk_shells(n, r, r)
+    return iter(walk_shells(n, r, r))
 
 
 def calc_solution(n: int, memo: object = None) -> set[Solution]:

@@ -73,20 +73,6 @@ class TestBuildS2:
 
 
 class TestIsPrime:
-    def test_one_not_prime(self):
-        assert not is_prime(1)
-
-    def test_113(self):
-        assert is_prime(113)
-
-    def test_887(self):
-        assert is_prime(887)
-
-    def test_agrees_with_trial_division(self):
-        for m in range(0, 10_000):
-            naive = m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
-            assert is_prime(m) == naive, m
-
     @pytest.mark.parametrize(
         "m,expected",
         [

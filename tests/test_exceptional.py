@@ -18,7 +18,7 @@ from espsolver.exceptional import (
     scan_exceptional,
 )
 from espsolver.reference import MemoStore, calc_shell, reference_solution
-from espsolver.solver import calc_solution, walk_shell
+from espsolver.solver import calc_solution, walk_shells
 
 KNOWN_EXCEPTIONAL = [2, 3, 4, 6, 24, 114, 174, 444]
 
@@ -50,17 +50,17 @@ class TestFindFirstNonbasic:
     def test_short_circuits_on_composite_n_minus_1(self, monkeypatch):
         # n-1 is composite, so S_2(n) already has a second element and no
         # higher shell may be walked.
-        walked_r = []
+        walks = []
 
-        def recording_walk(n, r):
-            walked_r.append(r)
-            return walk_shell(n, r)
+        def recording_walk(n, first, last, limit=0):
+            walks.append((first, last, limit))
+            return walk_shells(n, first, last, limit)
 
-        monkeypatch.setattr(exceptional, "walk_shell", recording_walk)
+        monkeypatch.setattr(exceptional, "walk_shells", recording_walk)
         for n in (16, 10**12):
-            walked_r.clear()
+            walks.clear()
             assert find_first_nonbasic(n) is not None
-            assert walked_r == [2], n
+            assert walks == [(2, 2, 2)], n
 
     def test_second_member_of_s2_near_the_limit(self):
         # 10^12 - 1 = 3 * 333333333333: the smallest divisor above 1 is 3
@@ -349,7 +349,6 @@ class TestPlan:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with monkeypatch.context() as plan:
             plan.setattr(exceptional, "MAX_STEP", max_step)
-            plan.setattr(exceptional, "_PROGRESSIONS", None)
             plain = scan_exceptional(lo, hi, use_sg_filter)
             plan.setattr(exceptional, "SEGMENT", segment)
             planned = scan_exceptional(lo, hi, use_sg_filter, workers)
@@ -357,6 +356,12 @@ class TestPlan:
         assert (plain.exceptional, plain.sg_candidates) == expected
         assert (planned.exceptional, planned.sg_candidates) == expected
         assert planned.walked == plain.walked
+
+    def test_table_follows_max_step(self, monkeypatch):
+        # the table is cached by its bound, so a patched MAX_STEP needs no reset
+        scan_exceptional(2, 1000)
+        monkeypatch.setattr(exceptional, "MAX_STEP", 7)
+        assert exceptional._progressions(10**9) == exceptional._table(7)
 
 
 class TestSieveAgainstWalk:

@@ -63,6 +63,22 @@ class TestCalcSolution:
             assert calc_solution(n) == brute_force_solutions(n), n
 
 
+class TestIsPrime:
+    def test_one_not_prime(self):
+        assert not is_prime(1)
+
+    def test_113(self):
+        assert is_prime(113)
+
+    def test_887(self):
+        assert is_prime(887)
+
+    def test_agrees_with_trial_division(self):
+        for m in range(0, 10_000):
+            naive = m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+            assert is_prime(m) == naive, m
+
+
 class TestWalkShell:
     @pytest.mark.parametrize(
         "n,r,expected",
@@ -80,6 +96,12 @@ class TestWalkShell:
     def test_rejects_r_below_2(self):
         with pytest.raises(DomainError):
             next(walk_shell(10, 1))
+
+    def test_checks_its_arguments_at_the_call(self):
+        with pytest.raises(DomainError):
+            walk_shell(10, 1)
+        with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
+            walk_shell(MAX_SCAN_HI + 1, 2)
 
     def test_domain_limit(self):
         # above 10^12 a factored last level's m can pass 2^64, where
