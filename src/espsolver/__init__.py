@@ -22,7 +22,7 @@ from .exceptional import (
 )
 from .oracle import brute_force_solutions
 from .reference import reference_solution
-from .solver import MAX_SOLVE_N, calc_solution, walk_shell
+from .solver import MAX_SOLVE_N, calc_solution, walk_shells
 
 __all__ = [
     "DomainError",
@@ -40,7 +40,7 @@ __all__ = [
     "reference_solution",
     "scan_exceptional",
     "validate",
-    "walk_shell",
+    "walk_shells",
 ]
 
 __version__ = "0.1.0"

@@ -7,10 +7,11 @@ shell r, the two largest components, by one remainder per step; for r = 2
 the prefix is empty and the last level reads off the divisor pairs of
 n-1.  A prefix is extended while the product bound of the shallowest
 shell its child serves holds, the loosest of their bounds, so a prefix
-that several shells share is visited once.  `walk_shell(n, r)` is the
-same walk confined to one shell and bounded by that shell's own bound.
-A separate walk per shell would visit more prefixes for the same
-last-level steps:
+that several shells share is visited once.  `walk_shells(n, r, r)` is
+the same walk confined to one shell and bounded by that shell's own
+bound; the walk checks its own domain and cuts every range of shells at
+floor(log2 n) + 1.  A separate walk per shell would visit more prefixes
+for the same last-level steps:
 
     n       prefix visits (walk per shell -> one walk)   last-level steps
     800                   89 -> 45                             216
@@ -45,7 +46,6 @@ in `reference`; nothing here calls it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from math import gcd, isqrt
 
 from .core import DomainError, Solution
@@ -56,7 +56,7 @@ from .reference import MemoStore, build_s2, calc_shell, reference_solution  # no
 
 # Largest n `calc_solution` accepts; the walk takes about 1.4 s there.
 MAX_SOLVE_N = 10**8
-# Largest n `walk_shell` accepts, and so the scan's limit: up to it a factored
+# Largest n `walk_shells` accepts, and so the scan's limit: up to it a factored
 # last level's m is below 2^64, where `is_prime` is exact.
 MAX_SCAN_HI = 10**12
 # Longest last-level range the walk trial-divides; past it the walk factors
@@ -153,20 +153,47 @@ def _divisors(m: int, low: int, top: int, p: int) -> list[int]:
 
 
 def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]:
-    """The members of S_r(n), first <= r <= last, in depth-first order (one
-    shell's come out ascending); only the first `limit` if limit > 0.  The
-    callers check 2 <= n <= MAX_SCAN_HI.
+    """The members of S_r(n), first <= r <= last, for 2 <= n <= MAX_SCAN_HI
+    and first >= 2, in depth-first order (one shell's come out ascending by
+    non-unit components, S_2's basic solution first); only the first
+    `limit` if limit > 0.  Shells above floor(log2 n) + 1 are empty, so
+    `last` is cut there.
 
-    One walk builds every shell asked for.  A prefix of r - 2 ascending
-    components, with product p and sum s, solves the last level of shell r
-    (see `walk_shell`), and its children extend it by one component x >=
-    its last.  A child serves the shells max(r + 1, first) ... last, and
-    is visited while the bound of the shallowest of them holds.  That is
-    the loosest of their bounds: with L components still to place in shell
-    r', p*x^L - L*x <= s + n - r' reads p*x^L - L*(x - 1) <= s + n - r + 2,
-    and the left side grows with L.  With first = last the walk is one
-    shell's walk, bounded by that shell's own bound.
+    A member has components x_1 <= ... <= x_r >= 2 whose product equals
+    their sum plus the n - r units.  The walk extends ascending prefixes
+    and bounds the product: under a prefix with product p and sum s, the
+    L components still to place are all >= x, and p*prod(y) - sum(y) only
+    grows with each y, so a completion exists only if
+    p*x^L - L*x <= s + n - r, a tighter form of the bound that no common
+    value exceeds 2n.  For the last two components x <= w,
+    p*x*w = s + x + w + n - r, so w = (s + x + n - r) / (p*x - 1).  That is
+    an integer exactly when d = p*x - 1 divides m = p*(s + n - r) + 1, and
+    the bound with L = 2, which is w >= x, reads d <= isqrt(m); so a prefix
+    of r - 2 components solves the last level of shell r by one remainder
+    per x.  For r = 2 the prefix is empty and the last level reads off the
+    divisors d <= isqrt(n-1) of n-1.
+
+    One walk builds every shell asked for.  A prefix's children extend it
+    by one component x >= its last; a child serves the shells
+    max(r + 1, first) ... last and is visited while the bound of the
+    shallowest of them holds.  That is the loosest of their bounds: with L
+    components still to place in shell r', p*x^L - L*x <= s + n - r' reads
+    p*x^L - L*(x - 1) <= s + n - r + 2, and the left side grows with L.
+    With first = last the walk is one shell's walk, bounded by that
+    shell's own bound.
+
+    When the last level spans more than MAX_TRIAL values of d, the walk
+    factors m instead and takes its divisors d = -1 (mod p) in the same
+    range, ascending, so it finds the same members in the same order.  A
+    prime m has only 1 and m as divisors, and 1 is in the range only for
+    the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
+    under 2^64 for n <= MAX_SCAN_HI, where `is_prime` is exact.
     """
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
+    if n > MAX_SCAN_HI or first < 2:
+        raise DomainError(f"need n <= {MAX_SCAN_HI} and first >= 2, got ({n}, {first})")
+    last = min(last, n.bit_length())
     found: list[Solution] = []
 
     def visit(prefix: tuple[int, ...], p: int, s: int, lo: int, r: int) -> bool:
@@ -201,41 +228,6 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
     return found
 
 
-def walk_shell(n: int, r: int) -> Iterator[Solution]:
-    """An iterator over S_r(n) for r >= 2, ascending by non-unit components.
-
-    A member has components x_1 <= ... <= x_r >= 2 whose product equals
-    their sum plus the n - r units.  The walk extends ascending prefixes
-    and bounds the product: under a prefix with product p and sum s, the
-    L components still to place are all >= x, and p*prod(y) - sum(y) only
-    grows with each y, so a completion exists only if
-    p*x^L - L*x <= s + n - r.  That cuts every branch whose smallest
-    completion has too large a product (a tighter form of the bound that
-    no common value exceeds 2n).  For the last two components x <= w,
-    p*x*w = s + x + w + n - r, so w = (s + x + n - r) / (p*x - 1).  That is
-    an integer exactly when d = p*x - 1 divides m = p*(s + n - r) + 1, and
-    the bound with L = 2, which is w >= x, reads d <= isqrt(m); so the last
-    level is one remainder per x.  For r = 2 the prefix is empty and the
-    last level reads off the divisors d <= isqrt(n-1) of n-1, so S_2(n)
-    comes out basic solution (d = 1) first.
-
-    When the last level spans more than MAX_TRIAL values of d, the walk
-    factors m instead and takes its divisors d = -1 (mod p) in the same
-    range, ascending, so it finds the same members in the same order.  A
-    prime m has only 1 and m as divisors, and 1 is in the range only for
-    the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
-    under 2^64 for n <= MAX_SCAN_HI, where `is_prime` is exact; so `walk_shell`
-    accepts 2 <= n <= MAX_SCAN_HI, and checks n and r when called.
-
-    The iterator runs over `walk_shells(n, r, r)`, the whole shell, built
-    before it returns; a caller that wants only the first members passes a
-    limit to `walk_shells` instead, as `find_first_nonbasic` does.
-    """
-    if not 2 <= n <= MAX_SCAN_HI or r < 2:
-        raise DomainError(f"need 2 <= n <= {MAX_SCAN_HI} and r >= 2, got ({n}, {r})")
-    return iter(walk_shells(n, r, r))
-
-
 def calc_solution(n: int, memo: object = None) -> set[Solution]:
     """All ESP solutions for n variables, for 2 <= n <= MAX_SOLVE_N: the
     union of S_r(n) for r = 2 ... floor(log2 n) + 1, from one
@@ -244,8 +236,6 @@ def calc_solution(n: int, memo: object = None) -> set[Solution]:
     `memo` is accepted for callers that pass one and is not used; the walk
     keeps no state between calls.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
     if n > MAX_SOLVE_N:
         raise DomainError(f"n must be <= {MAX_SOLVE_N}, got {n}")
     return set(walk_shells(n, 2, n.bit_length()))

@@ -1,11 +1,12 @@
 import importlib
+import pkgutil
 
 import espsolver
 
 PUBLIC = {
     # the engine
     "calc_solution",
-    "walk_shell",
+    "walk_shells",
     "MAX_SOLVE_N",
     # the scan
     "scan_exceptional",
@@ -50,3 +51,11 @@ def test_dropped_names_import_from_their_home_module():
         assert name not in espsolver.__all__
         module = importlib.import_module(home)
         assert getattr(module, name).__module__ == home, name
+
+
+def test_no_module_defines_walk_shell():
+    # `walk_shells(n, r, r)` is the one-shell walk
+    for info in pkgutil.iter_modules(espsolver.__path__, "espsolver."):
+        module = importlib.import_module(info.name)
+        assert not hasattr(module, "walk_shell"), info.name
+    assert not hasattr(espsolver, "walk_shell")

@@ -47,6 +47,16 @@ class TestFindFirstNonbasic:
         with pytest.raises(DomainError):
             find_first_nonbasic(1)
 
+    def test_checks_its_range_first(self, monkeypatch):
+        # the range check comes before the primality test of n - 1
+        def refusing(m):
+            raise AssertionError(f"is_prime({m}) ran before the range check")
+
+        monkeypatch.setattr(exceptional, "is_prime", refusing)
+        for n in (0, 1, MAX_SCAN_HI + 1):
+            with pytest.raises(DomainError):
+                find_first_nonbasic(n)
+
     def test_short_circuits_on_composite_n_minus_1(self, monkeypatch):
         # n-1 is composite, so S_2(n) already has a second element and no
         # higher shell may be walked.

@@ -1,4 +1,5 @@
-from itertools import count, islice
+import tracemalloc
+from itertools import count
 from math import prod
 
 import pytest
@@ -17,7 +18,7 @@ from espsolver.solver import (
     _prime_factors,
     calc_solution,
     is_prime,
-    walk_shell,
+    walk_shells,
 )
 
 
@@ -91,30 +92,49 @@ class TestWalkShell:
         ],
     )
     def test_golden_shells(self, n, r, expected):
-        assert list(walk_shell(n, r)) == expected
+        assert walk_shells(n, r, r) == expected
 
     def test_rejects_r_below_2(self):
         with pytest.raises(DomainError):
-            next(walk_shell(10, 1))
+            walk_shells(10, 1, 1, limit=1)[0]
 
     def test_checks_its_arguments_at_the_call(self):
         with pytest.raises(DomainError):
-            walk_shell(10, 1)
+            walk_shells(10, 1, 1)
         with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
-            walk_shell(MAX_SCAN_HI + 1, 2)
+            walk_shells(MAX_SCAN_HI + 1, 2, 2)
 
     def test_domain_limit(self):
         # above 10^12 a factored last level's m can pass 2^64, where
         # `is_prime` is no longer proven exact
         assert MAX_SCAN_HI == 10**12
-        assert next(walk_shell(10**12, 2)) == Solution((2, 10**12), 10**12 - 2)
+        assert walk_shells(10**12, 2, 2, limit=1)[0] == Solution((2, 10**12), 10**12 - 2)
         with pytest.raises(DomainError, match=str(MAX_SCAN_HI)):
-            next(walk_shell(10**12 + 1, 2))
+            walk_shells(10**12 + 1, 2, 2, limit=1)[0]
+
+    def test_checks_n_below_2(self):
+        for n in (1, 0, -5):
+            with pytest.raises(DomainError, match="n must be >= 2"):
+                walk_shells(n, 2, 2)
+        with pytest.raises(DomainError, match=str(10**12)):
+            walk_shells(MAX_SCAN_HI + 1, 2, 2)
+
+    def test_shells_above_the_log2_bound_are_empty(self):
+        # a walk of shell 10^8 would start by testing x^(10^8) against n
+        tracemalloc.start()
+        try:
+            assert walk_shells(1000, 10**8, 10**8) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (720720).bit_length() == 20
+        assert walk_shells(720720, 2, 10**6) == walk_shells(720720, 2, 20)
 
     @staticmethod
     def assert_s2_is_the_reference_base_case(n):
         # ascending and distinct, basic solution first, equal to build_s2
-        shell = list(walk_shell(n, 2))
+        shell = walk_shells(n, 2, 2)
         assert shell[0] == Solution(tuple(sorted((2, n))), n - 2), n
         assert [s.nonunit for s in shell] == sorted({s.nonunit for s in shell}), n
         assert set(shell) == build_s2(n).solutions, n
@@ -130,7 +150,7 @@ class TestWalkShell:
     @given(st.integers(min_value=2, max_value=100_000), st.data())
     def test_ascending_distinct_and_valid(self, n, data):
         r = data.draw(st.integers(min_value=2, max_value=n.bit_length() + 2), label="r")
-        shell = list(walk_shell(n, r))
+        shell = walk_shells(n, r, r)
         assert [s.nonunit for s in shell] == sorted({s.nonunit for s in shell})
         assert all(validate(s) and s.n == n and s.r == r for s in shell)
 
@@ -143,7 +163,7 @@ class TestFactoredLastLevel:
     def first_items(n, r, max_trial):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "MAX_TRIAL", max_trial)
-            return list(islice(walk_shell(n, r), 50))
+            return walk_shells(n, r, r, limit=50)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.integers(min_value=2, max_value=10**7), st.sampled_from([2, 3, 4]))
@@ -172,7 +192,7 @@ class TestFactoredLastLevel:
             return _divisors(*args)
 
         monkeypatch.setattr(solver, "_divisors", recording)
-        assert [s.nonunit[0] - 1 for s in walk_shell(10**7, 2)] == [1, 3, 9, 239, 717, 2151]
+        assert [s.nonunit[0] - 1 for s in walk_shells(10**7, 2, 2)] == [1, 3, 9, 239, 717, 2151]
         assert calls == [(10**7 - 1, 1, 3162, 1)]
 
 
@@ -253,7 +273,7 @@ class TestOneWalkAgainstOneShellWalks:
     def test_calc_solution_is_the_union_of_the_shells(self, n):
         shells = set()
         for r in range(2, n.bit_length() + 1):
-            shells.update(walk_shell(n, r))
+            shells.update(walk_shells(n, r, r))
         assert calc_solution(n) == shells
 
     @settings(max_examples=40, deadline=None)
@@ -266,5 +286,5 @@ class TestOneWalkAgainstOneShellWalks:
     @example(444)
     @example(9_999_654)
     def test_first_nonbasic_is_the_first_member_of_the_lowest_shell(self, n):
-        first_members = (next(walk_shell(n, r), None) for r in range(3, n.bit_length() + 1))
-        assert find_first_nonbasic(n) == next(filter(None, first_members), None)
+        first_members = (walk_shells(n, r, r, limit=1) for r in range(3, n.bit_length() + 1))
+        assert find_first_nonbasic(n) == next(filter(None, first_members), [None])[0]
