@@ -34,12 +34,16 @@ segments, from K, the number of k in [lo, hi]:
   fill the cache once.
 - Progressions: each one of step p*x - 1 <= MAX_STEP whose step in k is at
   most the scan's cut, max(128, K/4), clears the n it hits, each of which
-  has a proven non-basic solution.  A progression costs a slice per
-  segment and saves the walks of the n it clears.  MAX_STEP = 512 (1 654
-  progressions in k) was the best of 128, 512 and 2048 on [2, 10^8],
-  while a 3000-wide window at 3*10^7 does best near 128 (267
-  progressions).  The table is built whole on the first scan, in 3-6 ms,
-  and cached by its bound; each scan takes its prefix up to the cut.
+  has a proven non-basic solution.  In k, the progressions are rows, a
+  class of k modulo a step from a first k.  A row is dropped when a common
+  factor of its step and 6k-1 at its first k, above 1 and below that 6k-1,
+  makes every 6k-1 of the row composite, and when the row of a proper
+  divisor of its step starts no later and so holds all of it.  A row
+  costs a slice per segment and saves the walks of the n it clears.
+  MAX_STEP = 512 (1 145 rows) was the best of 128, 512 and 2048 on
+  [2, 10^8], while a 3000-wide window at 3*10^7 does best near 128 (193
+  rows).  The table is built whole on the first scan, in 3-6 ms, and
+  cached by its bound; each scan takes its prefix up to the cut.
 - Segments: the k-window is cut into ceil(K / SEGMENT) segments of SEGMENT
   k (2^22 values of n), whatever the workers.  They bound the memory of a
   scan: its flags take ~0.7 MB per form, and the ints that count and
@@ -51,9 +55,9 @@ non-basic solution that the solver's product-bounded walk
 answer does not depend on the plan; `walked`, the count of n left to the
 walk, depends on the cut and the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
-limit.  On one core (Python 3.11), [2, 10^8] takes ~0.8 s and [2, 10^7]
-~0.08 s; near MAX_SCAN_HI, a 3000-wide window takes ~25 ms, and a
-10^6-wide one ~0.06 s once the base primes are cached.
+limit.  On one core (Python 3.11), [2, 10^8] takes ~0.6 s and [2, 10^7]
+~0.06 s; near MAX_SCAN_HI, a 3000-wide window takes ~25 ms, and a
+10^6-wide one ~0.05 s once the base primes are cached.
 """
 
 from __future__ import annotations
@@ -136,40 +140,66 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 
 @cache
 def _table(max_step: int) -> tuple[array, array]:
-    """Step and first k of the r >= 3 progressions with step <= max_step,
-    restricted to the n = 6k: two columns sorted by step.
+    """Step and first k of the rows that the r >= 3 progressions with step
+    <= max_step make of the n = 6k: two columns sorted by step.
 
     A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
-    that step and class are merged into the one that starts first.
+    that step and class are merged into one row, the class's k from the
+    first that any of them hits.  Two kinds of row are dropped, since
+    neither clears a live n that the kept rows of any cut leave:
+
+    - a row that holds no live k: if 1 < g < 6f-1 for f its first k and
+      g = gcd(6f-1, step), then g divides 6k-1 for every k of the row, and
+      6k-1 >= 6f-1 > g, so 6k-1 is composite;
+    - a row that lies inside another: if the row of some proper divisor t
+      of the step, in the class of the row's k modulo t, starts no later,
+      it holds every k of the row, and every cut that keeps the row keeps
+      it, since t is the smaller step.  If that row is dropped too, it is
+      for holding no live k or for lying inside a row of a still smaller
+      step, so the live k of the row stay covered.
     """
     # first k by step and class, packed in one int: half the peak memory of
     # a tuple key
     first: dict[int, int] = {}
 
     def extend(p: int, s: int, r: int, lo: int) -> None:
-        # p, s: product and sum of an ascending prefix of r - 2 components
+        # p, s: product and sum of an ascending prefix of r - 2 >= 1 components
         x = lo
-        while p * x - 1 <= max_step:
-            if r >= 3:
-                d = p * x - 1
-                g = gcd(d, 6)
-                n0 = p * x * x - s - 2 * x + r
-                if n0 % g == 0:
-                    # 6k = n0 (mod d) exactly for k = res (mod step)
-                    step = d // g
-                    res = n0 // g * pow(6 // g, -1, step) % step
-                    k = -(-n0 // 6)
-                    k += (res - k) % step
-                    key = step << 32 | res
-                    first[key] = min(first.get(key, k), k)
+        while (d := p * x - 1) <= max_step:
+            g = gcd(d, 6)
+            n0 = p * x * x - s - 2 * x + r
+            if n0 % g == 0:
+                # 6k = n0 (mod d) exactly for k = res (mod step)
+                step = d // g
+                res = n0 // g * pow(6 // g, -1, step) % step
+                k = -(-n0 // 6)
+                k += (res - k) % step
+                key = step << 32 | res
+                first[key] = min(first.get(key, k), k)
             if p * x * x - 1 <= max_step:
                 extend(p * x, s + x, r + 1, x)
             x += 1
 
-    extend(1, 0, 2, 2)
-    keys = sorted(first)
-    return array("q", [key >> 32 for key in keys]), array("q", [first[key] for key in keys])
+    for x in range(2, isqrt(max_step + 1) + 1):
+        extend(x, x, 3, x)
+    # the proper divisors of each step that are steps of some row
+    divisors: list[list[int]] = [[] for _ in range(max_step + 1)]
+    for t in {key >> 32 for key in first}:
+        for m in range(2 * t, max_step + 1, t):
+            divisors[m].append(t)
+    steps, firsts = array("q"), array("q")
+    for key in sorted(first):
+        step, k = key >> 32, first[key]
+        if 1 < gcd(6 * k - 1, step) < 6 * k - 1:
+            continue  # no live k
+        for t in divisors[step]:
+            if first.get(t << 32 | k % t, k + 1) <= k:
+                break  # inside the row of step t
+        else:
+            steps.append(step)
+            firsts.append(k)
+    return steps, firsts
 
 
 def _progressions(cut: int) -> tuple[array, array]:
@@ -200,7 +230,7 @@ def _base_primes(m: int) -> tuple[array, array, array]:
         flags = bytearray(b"\x01") * (limit + 1)
         for q in range(2, isqrt(limit) + 1):
             if flags[q]:
-                flags[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
+                flags[q * q :: q] = bytearray(len(range(q * q, limit + 1, q)))
         qs = array("i", compress(range(5, limit + 1), flags[5:]))
         r6 = array("i", (((6 - q % 6) * q + 1) // 6 for q in qs))
         r12 = array("i", (((12 - q % 12) * q + 1) // 12 for q in qs))
@@ -208,7 +238,7 @@ def _base_primes(m: int) -> tuple[array, array, array]:
     return qs, r6, r12
 
 
-def _form(c: int, k0: int, size: int, qs: array, residues: array, zeros: memoryview) -> bytearray:
+def _form(c: int, k0: int, size: int, qs: array, residues: array) -> bytearray:
     """Flags of c*k-1 prime for k = k0 ... k0 + size - 1, from the base primes
     q <= isqrt(c*(k0 + size - 1) - 1) in `qs` and the k at which each divides
     c*k-1 in `residues`.  Each part was measured faster than its alternative:
@@ -220,7 +250,7 @@ def _form(c: int, k0: int, size: int, qs: array, residues: array, zeros: memoryv
     flags = bytearray(b"\x01") * size
     for q, a in zip(qs[:few], residues):
         i = (a - k0) % q
-        flags[i::q] = zeros[: (size - 1 - i) // q + 1]
+        flags[i::q] = bytearray((size - 1 - i) // q + 1)
     for q, a in zip(qs[few:count], residues[few:count]):
         if (i := (a - k0) % q) < size:
             flags[i] = 0
@@ -231,11 +261,11 @@ def _form(c: int, k0: int, size: int, qs: array, residues: array, zeros: memoryv
     return flags
 
 
-def _sieve(k0: int, size: int, zeros: memoryview) -> tuple[bytearray, bytearray]:
+def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
     """Flags of 6k-1 prime and of 12k-1 prime, for k = k0 ... k0 + size - 1,
-    k0 >= 1.  `zeros` holds at least `size` zero bytes."""
+    k0 >= 1."""
     qs, r6, r12 = _base_primes(isqrt(12 * (k0 + size) - 13))
-    return _form(6, k0, size, qs, r6, zeros), _form(12, k0, size, qs, r12, zeros)
+    return _form(6, k0, size, qs, r6), _form(12, k0, size, qs, r12)
 
 
 def _scan_segment(
@@ -245,14 +275,13 @@ def _scan_segment(
     n, the Sophie Germain count, and how many n the walk decided.  `cut`
     bounds the steps (in k) of the progressions that clear n."""
     k0, size = segment
-    zeros = memoryview(bytes(size))
-    shell2, germain = _sieve(k0, size, zeros)
+    shell2, germain = _sieve(k0, size)
     sg = int.from_bytes(germain, "little")
     sg_count = (int.from_bytes(shell2, "little") & sg).bit_count()
     for step, k in zip(*_progressions(cut)):
         i = k - k0 if k >= k0 else (k - k0) % step
         if i < size:
-            shell2[i::step] = zeros[: (size - 1 - i) // step + 1]
+            shell2[i::step] = bytearray((size - 1 - i) // step + 1)
     if use_sg_filter:
         shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
     survivors = []
@@ -291,7 +320,7 @@ def scan_exceptional(
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
     # a progression pays where it meets four k or more, and up to a step of
     # 128 in any window: near MAX_SCAN_HI one walk costs more than all the
-    # 267 slices of those steps
+    # 193 slices of those steps
     cut = min(MAX_STEP, max(128, (end - k0) // 4))
     # forked workers inherit both caches
     _progressions(cut)

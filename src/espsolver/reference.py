@@ -152,7 +152,9 @@ def calc_shell(k: int, r: int, memo: MemoStore, *, j_descending: bool = False) -
         memo.insert(result)
         return result
     found = set()
-    window = j_bounds(k, r)
+    # above floor(log2 k) + 1, 2^(r-2) > k/2, so 2^(r-2) - r > (k - 3r + 2)/2
+    # and the window is empty: skip computing its bound
+    window = j_bounds(k, r) if r <= k.bit_length() else ()
     for j in reversed(window) if j_descending else window:
         base_set = calc_shell(j + r, r - 1, memo, j_descending=j_descending)
         for base in base_set:

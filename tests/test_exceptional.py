@@ -1,6 +1,6 @@
 import os
 from array import array
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -303,7 +303,7 @@ class TestSieve:
 
     @staticmethod
     def assert_flags_are_primality(k0, size):
-        shell2, germain = exceptional._sieve(k0, size, memoryview(bytes(size)))
+        shell2, germain = exceptional._sieve(k0, size)
         ks = range(k0, k0 + size)
         assert list(shell2) == [is_prime(6 * k - 1) for k in ks], (k0, size)
         assert list(germain) == [is_prime(12 * k - 1) for k in ks], (k0, size)
@@ -372,6 +372,44 @@ class TestPlan:
         scan_exceptional(2, 1000)
         monkeypatch.setattr(exceptional, "MAX_STEP", 7)
         assert exceptional._progressions(10**9) == exceptional._table(7)
+
+    def test_rows_clear_every_live_k_a_progression_hits(self):
+        max_step = exceptional.MAX_STEP
+        # every (prefix, x) with r >= 3 and d = p*x - 1 <= max_step, as (d, n0)
+        progressions = []
+
+        def grow(prefix, p):
+            for x in range(prefix[-1], (max_step + 1) // p + 1):
+                r = len(prefix) + 2
+                progressions.append((p * x - 1, p * x * x - sum(prefix) - 2 * x + r))
+                grow(prefix + (x,), p * x)
+
+        for c in range(2, max_step + 2):
+            grow((c,), c)
+        assert len(progressions) == 2574
+        steps, firsts = exceptional._table(max_step)
+        assert len(steps) == 1145
+        assert len(exceptional._progressions(128)[0]) == 193
+        # the rows' starts all lie in the first window
+        assert max(firsts) <= 25_000
+        for k0, size in [(1, 25_000), (10**9, 300)]:
+            # hit_n[i]: some progression holds n = 6*k0 + i; hit_k[i]: some row holds k0 + i
+            hit_n, hit_k = bytearray(6 * size), bytearray(size)
+            for d, n0 in progressions:
+                i = max(n0 - 6 * k0, (n0 - 6 * k0) % d)
+                hit_n[i::d] = b"\x01" * len(range(i, 6 * size, d))
+            for step, first in zip(steps, firsts):
+                i = max(first - k0, (first - k0) % step)
+                hit_k[i::step] = b"\x01" * len(range(i, size, step))
+            live = [i for i in range(size) if is_prime(6 * (k0 + i) - 1)]
+            assert [i for i in live if hit_n[6 * i]] == [i for i in live if hit_k[i]], k0
+        # no kept row holds no live k, or lies inside another kept row
+        row = {(step, first % step): first for step, first in zip(steps, firsts)}
+        for step, first in zip(steps, firsts):
+            assert not 1 < gcd(6 * first - 1, step) < 6 * first - 1, (step, first)
+            for t in range(1, step):
+                if step % t == 0:
+                    assert row.get((t, first % t), first + 1) > first, (step, first, t)
 
 
 class TestSieveAgainstWalk:

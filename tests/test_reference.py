@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from espsolver.core import DomainError, InvalidSolutionError, Solution, validate
@@ -128,6 +130,15 @@ class TestCalcShell:
             m = n.bit_length() - 1
             for r in range(m + 2, m + 5):
                 assert calc_shell(n, r, MemoStore()).solutions == set(), (n, r)
+
+    def test_shell_far_above_log2_bound_is_empty_at_once(self):
+        # the window is empty from r = floor(log2 n) + 2 on, so the shell
+        # skips computing 2^(r-2)
+        for n in range(2, 20_000):
+            assert not j_bounds(n, n.bit_length() + 1), n
+        start = time.perf_counter()
+        assert calc_shell(10, 10**8, MemoStore()).solutions == frozenset()
+        assert time.perf_counter() - start < 0.01
 
     def test_size_bound(self):
         memo = MemoStore()
