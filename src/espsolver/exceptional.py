@@ -33,17 +33,22 @@ segments, from K, the number of k in [lo, hi]:
   all of them however narrow the window: ~35 ms a window, and ~0.1 s to
   fill the cache once.
 - Progressions: each one of step p*x - 1 <= MAX_STEP whose step in k is at
-  most the scan's cut, max(128, K/4), clears the n it hits, each of which
-  has a proven non-basic solution.  In k, the progressions are rows, a
-  class of k modulo a step from a first k.  A row is dropped when a common
-  factor of its step and 6k-1 at its first k, above 1 and below that 6k-1,
-  makes every 6k-1 of the row composite, and when the row of a proper
-  divisor of its step starts no later and so holds all of it.  A row
-  costs a slice per segment and saves the walks of the n it clears.
-  MAX_STEP = 512 (1 145 rows) was the best of 128, 512 and 2048 on
-  [2, 10^8], while a 3000-wide window at 3*10^7 does best near 128 (193
-  rows).  The table is built whole on the first scan, in 3-6 ms, and
-  cached by its bound; each scan takes its prefix up to the cut.
+  most the scan's cut, max(DENSE_STEP, K/4), clears the n it hits, each of
+  which has a proven non-basic solution.  In k, the progressions are rows,
+  a class of k modulo a step from a first k.  A row is dropped when a
+  common factor of its step and 6k-1 at its first k, above 1 and below
+  that 6k-1, makes every 6k-1 of the row composite, and when the row of a
+  proper divisor of its step starts no later and so holds all of it.  The
+  193 rows of step up to DENSE_STEP = 128 are sliced over each segment.
+  The 952 rows of larger step up to the cut are looked up, one step at a
+  time, for each n that the slices and the filter leave: few n are left,
+  while a slice writes across the whole segment to clear them.  When every
+  row was sliced, MAX_STEP = 512 (1 145 rows) was the best of 128, 512 and
+  2048 on [2, 10^8]; a 3000-wide window at 3*10^7, with about 20 n left
+  unfiltered, does best with the 193 alone.  The table is built whole on
+  the first scan, in 3-6 ms, and cached by its bound; the lookup table of
+  the rows above DENSE_STEP is built from it, in under 1 ms, on the first
+  scan whose cut exceeds DENSE_STEP.
 - Segments: the k-window is cut into ceil(K / SEGMENT) segments of SEGMENT
   k (2^22 values of n), whatever the workers.  They bound the memory of a
   scan: its flags take ~0.7 MB per form, and the ints that count and
@@ -79,6 +84,10 @@ from .solver import MAX_SCAN_HI, is_prime, walk_shells
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
+# Rows of step in k up to DENSE_STEP are sliced over a whole segment, and no
+# scan's cut is below it; the rows of larger step are looked up for each n
+# that is left.
+DENSE_STEP = 128
 # Width in k of one sieve segment, 2^22 values of n: bounds the memory of a
 # scan and is the unit of work handed to each worker.
 SEGMENT = (1 << 22) // 6
@@ -211,6 +220,25 @@ def _progressions(cut: int) -> tuple[array, array]:
     return steps[:count], firsts[:count]
 
 
+@cache
+def _lookup(max_step: int) -> tuple[list[int], list[array]]:
+    """The rows of `_table(max_step)` of step above DENSE_STEP, for one
+    lookup per k and step: the distinct steps t, ascending, and for each an
+    array indexed by k mod t whose entry is the first k of that class's row,
+    or 0 where there is none.  A row holds k exactly when
+    0 < first[k % t] <= k.  Built on the first scan whose cut exceeds
+    DENSE_STEP and cached by its bound; 4-byte entries keep it near 124 KB
+    at MAX_STEP."""
+    steps, firsts = _table(max_step)
+    start = bisect_right(steps, DENSE_STEP)
+    rows: dict[int, array] = {}
+    for step, k in zip(steps[start:], firsts[start:]):
+        if step not in rows:
+            rows[step] = array("i", [0]) * step
+        rows[step][k % step] = k
+    return list(rows), list(rows.values())
+
+
 # The sieve's base primes q >= 5, the bound they are complete to, and for
 # each q the k with 6k = 1 and with 12k = 1 (mod q): the n = 6k at which q
 # divides n-1 and 2n-1.  One cache per process, grown by `_base_primes`;
@@ -273,21 +301,31 @@ def _scan_segment(
 ) -> tuple[list[int], int, int]:
     """Scan the n = 6k for k = k0 ... k0 + size - 1, k0 >= 1: the exceptional
     n, the Sophie Germain count, and how many n the walk decided.  `cut`
-    bounds the steps (in k) of the progressions that clear n."""
+    bounds the steps (in k) of the progressions that clear n: those up to
+    DENSE_STEP are sliced, the larger ones looked up for each n left."""
     k0, size = segment
     shell2, germain = _sieve(k0, size)
     sg = int.from_bytes(germain, "little")
     sg_count = (int.from_bytes(shell2, "little") & sg).bit_count()
-    for step, k in zip(*_progressions(cut)):
+    for step, k in zip(*_progressions(min(cut, DENSE_STEP))):
         i = k - k0 if k >= k0 else (k - k0) % step
         if i < size:
             shell2[i::step] = bytearray((size - 1 - i) // step + 1)
     if use_sg_filter:
         shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
+    sparse: list[tuple[int, array]] = []
+    if cut > DENSE_STEP:
+        steps, firsts = _lookup(MAX_STEP)
+        sparse = list(zip(steps[: bisect_right(steps, cut)], firsts))
     survivors = []
     i = shell2.find(1)
     while i >= 0:
-        survivors.append(6 * (k0 + i))
+        k = k0 + i
+        for step, first in sparse:
+            if 0 < first[k % step] <= k:
+                break
+        else:
+            survivors.append(6 * k)
         i = shell2.find(1, i + 1)
     exceptional = [n for n in survivors if find_first_nonbasic(n) is None]
     return exceptional, sg_count, len(survivors)
@@ -318,12 +356,14 @@ def scan_exceptional(
     # the k-window: the n = 6k in [max(lo, 6), hi]
     k0, end = (max(lo, 6) + 5) // 6, hi // 6 + 1
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
-    # a progression pays where it meets four k or more, and up to a step of
-    # 128 in any window: near MAX_SCAN_HI one walk costs more than all the
-    # 193 slices of those steps
-    cut = min(MAX_STEP, max(128, (end - k0) // 4))
-    # forked workers inherit both caches
-    _progressions(cut)
+    # the rows up to DENSE_STEP are sliced in any window, since near
+    # MAX_SCAN_HI one walk costs more than all 193 of their slices; a row
+    # above it, looked up for each n left, pays where it meets four k or more
+    cut = min(MAX_STEP, max(DENSE_STEP, (end - k0) // 4))
+    # forked workers inherit the caches that their segments read
+    _table(MAX_STEP)
+    if cut > DENSE_STEP:
+        _lookup(MAX_STEP)
     _base_primes(isqrt(2 * hi))
     task = partial(_scan_segment, use_sg_filter=use_sg_filter, cut=cut)
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k

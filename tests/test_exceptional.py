@@ -3,7 +3,7 @@ from array import array
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from espsolver import exceptional
@@ -191,6 +191,10 @@ class TestScan:
             (999_999_996_999, 999_999_999_999, 0, 2),
             (5 * 10**11, 5 * 10**11 + 3000, 0, 0),
             (10**9, 10**9 + 3000, 1, 1),
+            # cuts 375 and 250: the rows of step in k above 128 up to the cut
+            # are looked up for each n left
+            (10**9, 10**9 + 9000, 1, 1),
+            (3 * 10**7, 3 * 10**7 + 6000, 1, 1),
         ],
     )
     def test_walked_per_window(self, lo, hi, walked_filtered, walked_unfiltered):
@@ -410,6 +414,53 @@ class TestPlan:
             for t in range(1, step):
                 if step % t == 0:
                     assert row.get((t, first % t), first + 1) > first, (step, first, t)
+
+    def test_lookup_holds_the_sparse_rows(self):
+        # every row of step above DENSE_STEP once, in its class, with its first k
+        max_step, dense = exceptional.MAX_STEP, exceptional.DENSE_STEP
+        steps, firsts = exceptional._table(max_step)
+        rows = [(step, first) for step, first in zip(steps, firsts) if step > dense]
+        sparse_steps, tables = exceptional._lookup(max_step)
+        assert sparse_steps == sorted({step for step, _ in rows})
+        assert [len(table) for table in tables] == sparse_steps
+        entries = [
+            (step, res, first)
+            for step, table in zip(sparse_steps, tables)
+            for res, first in enumerate(table)
+            if first
+        ]
+        assert entries == sorted((step, first % step, first) for step, first in rows)
+        assert (len(sparse_steps), len(rows), sum(sparse_steps)) == (101, 952, 31_799)
+        # a bound at or below DENSE_STEP leaves every row to the slices
+        for bound in (0, 7, 128):
+            assert exceptional._lookup(bound) == ([], [])
+
+    @pytest.mark.parametrize("cut", [7, 128, 129, 250, 512])
+    @pytest.mark.parametrize("use_sg_filter", [True, False])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=30_000),
+            st.integers(min_value=10**9 - 10**4, max_value=10**9 + 10**4),
+        ),
+        st.integers(min_value=1, max_value=500),
+    )
+    @example(k0=1, size=500)
+    @example(k0=10**9, size=500)
+    def test_segment_against_rows_k_by_k(self, cut, use_sg_filter, k0, size):
+        # the rows sliced and the rows looked up clear the k that some row of
+        # step <= cut holds, from its first k on, and no other
+        steps, firsts = exceptional._table(exceptional.MAX_STEP)
+        rows = [(step, first) for step, first in zip(steps, firsts) if step <= cut]
+        left, sg = [], 0
+        for k in range(k0, k0 + size):
+            live, germain = is_prime(6 * k - 1), is_prime(12 * k - 1)
+            sg += live and germain
+            held = any(k >= first and (k - first) % step == 0 for step, first in rows)
+            if live and (germain or not use_sg_filter) and not held:
+                left.append(6 * k)
+        expected = ([n for n in left if find_first_nonbasic(n) is None], sg, len(left))
+        assert exceptional._scan_segment((k0, size), use_sg_filter, cut) == expected
 
 
 class TestSieveAgainstWalk:
