@@ -25,13 +25,16 @@ Sophie Germain prime, and the progression of step 3 from n = 5 (solution
 Germain candidate, is a multiple of 6.  A scan fixes one plan for all its
 segments, from K, the number of k in [lo, hi]:
 
-- Flags: the k with 6k-1 prime (the live n = 6k) and the k with 12k-1
-  prime (2n-1 prime, which the Sophie Germain filter also requires).
-  `_sieve`, a sieve of Eratosthenes over k, makes them from the base primes
-  q >= 5 up to sqrt(2*hi), cached once per process with the k at which
-  each q divides 6k-1 and 12k-1.  Near MAX_SCAN_HI the sieve passes over
-  all of them however narrow the window: ~35 ms a window, and ~0.1 s to
-  fill the cache once.
+- Flags: two bytearrays over k, `live` (6k-1 prime: the live n = 6k) and
+  `germain` (6k-1 and 12k-1 both prime: n-1 a Sophie Germain prime).
+  `_sieve`, a sieve of Eratosthenes over k, makes `live` from the base
+  primes q >= 5 up to sqrt(2*hi), cached once per process with the k at
+  which each q divides 6k-1 and 12k-1, and `germain` by sieving 12k-1
+  over a copy of `live`.  The Sophie Germain count is read off `germain`;
+  the filter only chooses which of the two the progressions and the walk
+  read.  Near MAX_SCAN_HI the sieve passes over all the base primes
+  however narrow the window: ~35 ms a window, and ~0.1 s to fill the
+  cache once.
 - Progressions: each one of step p*x - 1 <= MAX_STEP whose step in k is at
   most the scan's cut, max(DENSE_STEP, K/4), clears the n it hits, each of
   which has a proven non-basic solution.  In k, the progressions are rows,
@@ -51,8 +54,8 @@ segments, from K, the number of k in [lo, hi]:
   scan whose cut exceeds DENSE_STEP.
 - Segments: the k-window is cut into ceil(K / SEGMENT) segments of SEGMENT
   k (2^22 values of n), whatever the workers.  They bound the memory of a
-  scan: its flags take ~0.7 MB per form, and the ints that count and
-  filter them as much again.  A pool starts only for two or more of them.
+  scan: each of its two bytearrays of flags takes ~0.7 MB.  A pool starts
+  only for two or more of them.
 
 What is left is decided by `find_first_nonbasic`, which stops at the first
 non-basic solution that the solver's product-bounded walk
@@ -60,9 +63,9 @@ non-basic solution that the solver's product-bounded walk
 answer does not depend on the plan; `walked`, the count of n left to the
 walk, depends on the cut and the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
-limit.  On one core (Python 3.11), [2, 10^8] takes ~0.6 s and [2, 10^7]
-~0.06 s; near MAX_SCAN_HI, a 3000-wide window takes ~25 ms, and a
-10^6-wide one ~0.05 s once the base primes are cached.
+limit.  On one core (Python 3.11), [2, 10^8] takes ~0.3-0.4 s and
+[2, 10^7] ~0.03-0.05 s; near MAX_SCAN_HI, a 3000-wide window takes
+~25 ms, and a 10^6-wide one ~0.05 s once the base primes are cached.
 """
 
 from __future__ import annotations
@@ -266,59 +269,68 @@ def _base_primes(m: int) -> tuple[array, array, array]:
     return qs, r6, r12
 
 
-def _form(c: int, k0: int, size: int, qs: array, residues: array) -> bytearray:
-    """Flags of c*k-1 prime for k = k0 ... k0 + size - 1, from the base primes
-    q <= isqrt(c*(k0 + size - 1) - 1) in `qs` and the k at which each divides
-    c*k-1 in `residues`.  Each part was measured faster than its alternative:
-    one slice loop for every q cost +50-100 % of `_sieve`'s time, a check per
-    hit in place of the restoring pass +15-17 %, and 64-bit first k, to start
-    each q at q*q, +5-12 %."""
+def _form(c: int, k0: int, qs: array, residues: array, flags: bytearray) -> bytearray:
+    """Clear the flag of each k with c*k-1 composite in `flags`, the flags of
+    k = k0 ... k0 + size - 1 with size = len(flags), and return `flags`.
+    The base primes are those q <= isqrt(c*(k0 + size - 1) - 1) in `qs`,
+    with the k at which each divides c*k-1 in `residues`.  Sieving only
+    clears, so a copy of another form's flags ends as the AND of the two,
+    and a base prime's own flag is restored only where it was set before
+    the pass: 71 = 12*6 - 1 is a base prime, but 35 = 6*6 - 1 is composite,
+    so k = 6 stays cleared in a copy of the 6k-1 flags.  Each part was
+    measured faster than its alternative: one slice loop for every q cost
+    +50-100 % of `_sieve`'s time, a check per hit in place of the
+    restoring pass +15-17 %, and 64-bit first k, to start each q at q*q,
+    +5-12 %."""
+    size = len(flags)
     count = bisect_right(qs, isqrt(c * (k0 + size - 1) - 1))
     few = bisect_left(qs, size, 0, count)  # from qs[few] on, one hit at most
-    flags = bytearray(b"\x01") * size
+    # a base prime that is itself some c*k-1 here is cleared as its own multiple
+    start = bisect_left(qs, c * k0 - 1, 0, count)
+    own = [i for q in qs[start:count] if q % c == c - 1 and flags[i := (q + 1) // c - k0]]
     for q, a in zip(qs[:few], residues):
         i = (a - k0) % q
         flags[i::q] = bytearray((size - 1 - i) // q + 1)
     for q, a in zip(qs[few:count], residues[few:count]):
         if (i := (a - k0) % q) < size:
             flags[i] = 0
-    # a base prime that is itself some c*k-1 here was cleared as its own multiple
-    for q in qs[bisect_left(qs, c * k0 - 1, 0, count) : count]:
-        if q % c == c - 1:
-            flags[(q + 1) // c - k0] = 1
+    for i in own:
+        flags[i] = 1
     return flags
 
 
 def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
-    """Flags of 6k-1 prime and of 12k-1 prime, for k = k0 ... k0 + size - 1,
-    k0 >= 1."""
+    """Flags of 6k-1 prime (`live`) and of 6k-1 and 12k-1 both prime
+    (`germain`), for k = k0 ... k0 + size - 1, k0 >= 1: `germain` is the
+    12k-1 sieve run over a copy of `live`."""
     qs, r6, r12 = _base_primes(isqrt(12 * (k0 + size) - 13))
-    return _form(6, k0, size, qs, r6), _form(12, k0, size, qs, r12)
+    live = _form(6, k0, qs, r6, bytearray(b"\x01") * size)
+    return live, _form(12, k0, qs, r12, bytearray(live))
 
 
 def _scan_segment(
     segment: tuple[int, int], use_sg_filter: bool, cut: int
 ) -> tuple[list[int], int, int]:
     """Scan the n = 6k for k = k0 ... k0 + size - 1, k0 >= 1: the exceptional
-    n, the Sophie Germain count, and how many n the walk decided.  `cut`
-    bounds the steps (in k) of the progressions that clear n: those up to
-    DENSE_STEP are sliced, the larger ones looked up for each n left."""
+    n, the Sophie Germain count, and how many n the walk decided.  The count
+    is taken from `germain` before any slice; then the filter picks the flags
+    that are read, `germain` or `live`.  `cut` bounds the steps (in k) of the
+    progressions that clear n: those up to DENSE_STEP are sliced, the larger
+    ones looked up for each n left."""
     k0, size = segment
-    shell2, germain = _sieve(k0, size)
-    sg = int.from_bytes(germain, "little")
-    sg_count = (int.from_bytes(shell2, "little") & sg).bit_count()
+    live, germain = _sieve(k0, size)
+    sg_count = germain.count(1)
+    flags = germain if use_sg_filter else live
     for step, k in zip(*_progressions(min(cut, DENSE_STEP))):
         i = k - k0 if k >= k0 else (k - k0) % step
         if i < size:
-            shell2[i::step] = bytearray((size - 1 - i) // step + 1)
-    if use_sg_filter:
-        shell2 = (int.from_bytes(shell2, "little") & sg).to_bytes(size, "little")
+            flags[i::step] = bytearray((size - 1 - i) // step + 1)
     sparse: list[tuple[int, array]] = []
     if cut > DENSE_STEP:
         steps, firsts = _lookup(MAX_STEP)
         sparse = list(zip(steps[: bisect_right(steps, cut)], firsts))
     survivors = []
-    i = shell2.find(1)
+    i = flags.find(1)
     while i >= 0:
         k = k0 + i
         for step, first in sparse:
@@ -326,7 +338,7 @@ def _scan_segment(
                 break
         else:
             survivors.append(6 * k)
-        i = shell2.find(1, i + 1)
+        i = flags.find(1, i + 1)
     exceptional = [n for n in survivors if find_first_nonbasic(n) is None]
     return exceptional, sg_count, len(survivors)
 

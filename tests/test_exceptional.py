@@ -307,12 +307,14 @@ class TestSieve:
 
     @staticmethod
     def assert_flags_are_primality(k0, size):
-        shell2, germain = exceptional._sieve(k0, size)
+        live, germain = exceptional._sieve(k0, size)
         ks = range(k0, k0 + size)
-        assert list(shell2) == [is_prime(6 * k - 1) for k in ks], (k0, size)
-        assert list(germain) == [is_prime(12 * k - 1) for k in ks], (k0, size)
+        assert list(live) == [is_prime(6 * k - 1) for k in ks], (k0, size)
+        expected = [is_prime(6 * k - 1) and is_prime(12 * k - 1) for k in ks]
+        assert list(germain) == expected, (k0, size)
 
-    # k0 = 1 ... 3: the window holds base primes, which the sieve must restore;
+    # k0 = 1 ... 3: the window holds base primes, which each form clears as
+    # their own multiples and then restores where they were set before;
     # size 1 leaves every base prime to the one-hit loop, size 3000 sends the
     # primes below 3000 to the slice loop
     @pytest.mark.parametrize(
@@ -321,6 +323,12 @@ class TestSieve:
     )
     def test_examples(self, k0, size):
         self.assert_flags_are_primality(k0, size)
+
+    def test_restores_a_base_prime_only_where_it_was_set(self):
+        # k = 1: 5 and 11 are prime.  k = 6: 71 = 12*6 - 1 is a base prime,
+        # cleared as its own multiple, but 35 = 6*6 - 1 is composite
+        _, germain = exceptional._sieve(1, 500)
+        assert (germain[0], germain[5]) == (1, 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

@@ -7,11 +7,37 @@ from espsolver.reference import (
     MemoStore,
     SolutionKey,
     SolutionSet,
+    build_s2,
     calc_shell,
     extend_candidate,
     j_bounds,
     reference_solution,
 )
+
+
+def s2_divisors(m: int) -> tuple[int, ...]:
+    """The divisors of m that build_s2(m + 1) pairs up, ascending."""
+    return tuple(sorted(s.nonunit[0] - 1 for s in build_s2(m + 1)))
+
+
+class TestDivisors:
+    """build_s2(m + 1) pairs exactly the divisors d of m with d*d <= m."""
+
+    @pytest.mark.parametrize(
+        "m,expected",
+        [(1, (1,)), (14, (1, 2)), (4, (1, 2)), (36, (1, 2, 3, 4, 6)), (97, (1,))],
+    )
+    def test_examples(self, m, expected):
+        assert s2_divisors(m) == expected
+
+    def test_rejects_zero(self):
+        with pytest.raises(DomainError):
+            s2_divisors(0)
+
+    def test_complete_and_bounded(self):
+        for m in range(1, 500):
+            divs = s2_divisors(m)
+            assert list(divs) == [d for d in range(1, m + 1) if m % d == 0 and d * d <= m]
 
 
 class TestJBounds:
