@@ -22,8 +22,7 @@ with n-1 prime, n-1 is a prime other than 2 and 3, so n is even and
 n != 1 (mod 3).  If n = 2 (mod 3), then 3 divides 2n-1 > 3, so n-1 is no
 Sophie Germain prime, and the progression of step 3 from n = 5 (solution
 (2, 2, 2)) clears n.  So every n >= 5 that is live, or counted as a Sophie
-Germain candidate, is a multiple of 6.  A scan fixes one plan for all its
-segments, from K, the number of k in [lo, hi]:
+Germain candidate, is a multiple of 6.  Every scan runs one plan:
 
 - Flags: two bytearrays over k, `live` (6k-1 prime: the live n = 6k) and
   `germain` (6k-1 and 12k-1 both prime: n-1 a Sophie Germain prime).
@@ -35,33 +34,32 @@ segments, from K, the number of k in [lo, hi]:
   read.  Near MAX_SCAN_HI the sieve passes over all the base primes
   however narrow the window: ~35 ms a window, and ~0.1 s to fill the
   cache once.
-- Progressions: each one of step p*x - 1 <= MAX_STEP whose step in k is at
-  most the scan's cut, max(DENSE_STEP, K/4), clears the n it hits, each of
-  which has a proven non-basic solution.  In k, the progressions are rows,
-  a class of k modulo a step from a first k.  A row is dropped when a
-  common factor of its step and 6k-1 at its first k, above 1 and below
-  that 6k-1, makes every 6k-1 of the row composite, and when the row of a
-  proper divisor of its step starts no later and so holds all of it.  The
-  193 rows of step up to DENSE_STEP = 128 are sliced over each segment.
-  The 952 rows of larger step up to the cut are looked up, one step at a
-  time, for each n that the slices and the filter leave: few n are left,
-  while a slice writes across the whole segment to clear them.  When every
-  row was sliced, MAX_STEP = 512 (1 145 rows) was the best of 128, 512 and
-  2048 on [2, 10^8]; a 3000-wide window at 3*10^7, with about 20 n left
-  unfiltered, does best with the 193 alone.  The table is built whole on
-  the first scan, in 3-6 ms, and cached by its bound; the lookup table of
-  the rows above DENSE_STEP is built from it, in under 1 ms, on the first
-  scan whose cut exceeds DENSE_STEP.
-- Segments: the k-window is cut into ceil(K / SEGMENT) segments of SEGMENT
-  k (2^22 values of n), whatever the workers.  They bound the memory of a
-  scan: each of its two bytearrays of flags takes ~0.7 MB.  A pool starts
-  only for two or more of them.
+- Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it
+  hits, each of which has a proven non-basic solution.  In k, the
+  progressions are rows, a class of k modulo a step from a first k.  A
+  row is dropped when a common factor of its step and 6k-1 at its first
+  k, above 1 and below that 6k-1, makes every 6k-1 of the row composite,
+  and when the row of a proper divisor of its step starts no later and so
+  holds all of it.  The 193 rows of step up to DENSE_STEP = 128 are sliced
+  over each segment.  The 952 rows of larger step are looked up, one step
+  at a time, for each n that the slices and the filter leave: few n are
+  left, while a slice writes across the whole segment to clear them.
+  When every row was sliced, MAX_STEP = 512 (1 145 rows) was the best of
+  128, 512 and 2048 on [2, 10^8].  With the lookups, 1024 and 2048 scan
+  it in ~0.25 s against ~0.35 s, but their rows take 2 and 5 times as
+  long to build.  The rows are built whole on the first scan, in 3-7 ms
+  at 512 with under 1 ms of it for the lookup arrays, and cached by their
+  bound.
+- Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
+  SEGMENT k (2^22 values of n), whatever the workers.  They bound the
+  memory of a scan: each of its two bytearrays of flags takes ~0.7 MB.  A
+  pool starts only for two or more of them.
 
 What is left is decided by `find_first_nonbasic`, which stops at the first
 non-basic solution that the solver's product-bounded walk
 (`solver.walk_shells`) finds.  Clearing and walking are both exact, so the
 answer does not depend on the plan; `walked`, the count of n left to the
-walk, depends on the cut and the filter only.  `is_exceptional` checks
+walk, depends on the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
 limit.  On one core (Python 3.11), [2, 10^8] takes ~0.3-0.4 s and
 [2, 10^7] ~0.03-0.05 s; near MAX_SCAN_HI, a 3000-wide window takes
@@ -87,9 +85,8 @@ from .solver import MAX_SCAN_HI, is_prime, walk_shells
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
-# Rows of step in k up to DENSE_STEP are sliced over a whole segment, and no
-# scan's cut is below it; the rows of larger step are looked up for each n
-# that is left.
+# Rows of step in k up to DENSE_STEP are sliced over a whole segment; the
+# rows of larger step are looked up for each n that is left.
 DENSE_STEP = 128
 # Width in k of one sieve segment, 2^22 values of n: bounds the memory of a
 # scan and is the unit of work handed to each worker.
@@ -135,7 +132,8 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 
     `sg_candidates` counts the n with n = 2 or n-1 a Sophie Germain prime;
     `walked` counts the n that the flags and progressions left to
-    `find_first_nonbasic`: it moves with the scan's plan, the answer does not.
+    `find_first_nonbasic`: it moves with the filter and the rows' bound
+    MAX_STEP, the answer does not.
     Like `Solution`, it is an immutable tuple, equal to the plain tuple of
     its six fields.
     """
@@ -159,15 +157,14 @@ def _table(max_step: int) -> tuple[array, array]:
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
     that step and class are merged into one row, the class's k from the
     first that any of them hits.  Two kinds of row are dropped, since
-    neither clears a live n that the kept rows of any cut leave:
+    neither clears a live n that the kept rows leave:
 
     - a row that holds no live k: if 1 < g < 6f-1 for f its first k and
       g = gcd(6f-1, step), then g divides 6k-1 for every k of the row, and
       6k-1 >= 6f-1 > g, so 6k-1 is composite;
     - a row that lies inside another: if the row of some proper divisor t
       of the step, in the class of the row's k modulo t, starts no later,
-      it holds every k of the row, and every cut that keeps the row keeps
-      it, since t is the smaller step.  If that row is dropped too, it is
+      it holds every k of the row.  If that row is dropped too, it is
       for holding no live k or for lying inside a row of a still smaller
       step, so the live k of the row stay covered.
     """
@@ -214,32 +211,24 @@ def _table(max_step: int) -> tuple[array, array]:
     return steps, firsts
 
 
-def _progressions(cut: int) -> tuple[array, array]:
-    """The progressions of step in k at most `cut`: a prefix of
-    `_table(MAX_STEP)`, which is built on a scan's first use and cached
-    by its bound."""
-    steps, firsts = _table(MAX_STEP)
-    count = bisect_right(steps, cut)
-    return steps[:count], firsts[:count]
-
-
 @cache
-def _lookup(max_step: int) -> tuple[list[int], list[array]]:
-    """The rows of `_table(max_step)` of step above DENSE_STEP, for one
-    lookup per k and step: the distinct steps t, ascending, and for each an
-    array indexed by k mod t whose entry is the first k of that class's row,
-    or 0 where there is none.  A row holds k exactly when
-    0 < first[k % t] <= k.  Built on the first scan whose cut exceeds
-    DENSE_STEP and cached by its bound; 4-byte entries keep it near 124 KB
-    at MAX_STEP."""
+def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
+    """The rows of `_table(max_step)` as a scan reads them.  Those of step
+    up to DENSE_STEP, sliced over each segment, come as the columns of
+    step and first k.  The others come as pairs (t, array), one per
+    distinct step t, ascending, for one lookup per k and step: the array is
+    indexed by k mod t, and its entry is the first k of that class's row, or
+    0 where there is none, so a row holds k exactly when
+    0 < first[k % t] <= k.  Cached by its bound; 4-byte entries keep the
+    arrays near 124 KB at MAX_STEP."""
     steps, firsts = _table(max_step)
-    start = bisect_right(steps, DENSE_STEP)
-    rows: dict[int, array] = {}
-    for step, k in zip(steps[start:], firsts[start:]):
-        if step not in rows:
-            rows[step] = array("i", [0]) * step
-        rows[step][k % step] = k
-    return list(rows), list(rows.values())
+    dense = bisect_right(steps, DENSE_STEP)
+    sparse: dict[int, array] = {}
+    for step, k in zip(steps[dense:], firsts[dense:]):
+        if step not in sparse:
+            sparse[step] = array("i", [0]) * step
+        sparse[step][k % step] = k
+    return steps[:dense], firsts[:dense], list(sparse.items())
 
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for
@@ -308,27 +297,22 @@ def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
     return live, _form(12, k0, qs, r12, bytearray(live))
 
 
-def _scan_segment(
-    segment: tuple[int, int], use_sg_filter: bool, cut: int
-) -> tuple[list[int], int, int]:
+def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[int], int, int]:
     """Scan the n = 6k for k = k0 ... k0 + size - 1, k0 >= 1: the exceptional
     n, the Sophie Germain count, and how many n the walk decided.  The count
     is taken from `germain` before any slice; then the filter picks the flags
-    that are read, `germain` or `live`.  `cut` bounds the steps (in k) of the
-    progressions that clear n: those up to DENSE_STEP are sliced, the larger
-    ones looked up for each n left."""
+    that are read, `germain` or `live`.  The rows of `_rows(MAX_STEP)` clear
+    n: those up to DENSE_STEP are sliced, the others looked up for each n
+    left."""
     k0, size = segment
     live, germain = _sieve(k0, size)
     sg_count = germain.count(1)
     flags = germain if use_sg_filter else live
-    for step, k in zip(*_progressions(min(cut, DENSE_STEP))):
+    steps, firsts, sparse = _rows(MAX_STEP)
+    for step, k in zip(steps, firsts):
         i = k - k0 if k >= k0 else (k - k0) % step
         if i < size:
             flags[i::step] = bytearray((size - 1 - i) // step + 1)
-    sparse: list[tuple[int, array]] = []
-    if cut > DENSE_STEP:
-        steps, firsts = _lookup(MAX_STEP)
-        sparse = list(zip(steps[: bisect_right(steps, cut)], firsts))
     survivors = []
     i = flags.find(1)
     while i >= 0:
@@ -354,7 +338,7 @@ def scan_exceptional(
     condition, so both modes find the same values, and `sg_candidates` is
     the filtered count in both.  The plan (see the module docstring) is
     fixed by [lo, hi] alone: its k-window is cut into segments of SEGMENT
-    k, and the cut of the progressions follows the window's width.
+    k, and every segment reads the same rows.
     `workers` must be >= 1 and only sizes the pool: the segments are mapped
     over min(workers, segments, CPUs) processes, and in-process below two.
     """
@@ -368,16 +352,10 @@ def scan_exceptional(
     # the k-window: the n = 6k in [max(lo, 6), hi]
     k0, end = (max(lo, 6) + 5) // 6, hi // 6 + 1
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
-    # the rows up to DENSE_STEP are sliced in any window, since near
-    # MAX_SCAN_HI one walk costs more than all 193 of their slices; a row
-    # above it, looked up for each n left, pays where it meets four k or more
-    cut = min(MAX_STEP, max(DENSE_STEP, (end - k0) // 4))
     # forked workers inherit the caches that their segments read
-    _table(MAX_STEP)
-    if cut > DENSE_STEP:
-        _lookup(MAX_STEP)
+    _rows(MAX_STEP)
     _base_primes(isqrt(2 * hi))
-    task = partial(_scan_segment, use_sg_filter=use_sg_filter, cut=cut)
+    task = partial(_scan_segment, use_sg_filter=use_sg_filter)
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
     small = [n for n in (2, 3, 4) if lo <= n <= hi]
     parts = [([n for n in small if find_first_nonbasic(n) is None], len(small), len(small))]

@@ -178,28 +178,44 @@ class TestScan:
                 assert is_sophie_germain(n - 1)
 
     # `walked` counts the plan's work, not the answer, so every pin of it is
-    # here and moves with the plan.  It depends on the scan's cut (its width
-    # in k over 4, at least 128 and at most MAX_STEP) and the filter, not on
-    # SEGMENT or the workers.  Up to 10^5 the progressions leave only the
-    # exceptional values to the walk; above that the filter leaves fewer n
-    # to walk than n-1 prime alone.
+    # here and moves with the plan.  It depends on the rows' bound MAX_STEP
+    # and the filter, not on the window's width, SEGMENT or the workers.  Up
+    # to 10^5 the progressions leave only the exceptional values to the walk;
+    # above that the filter leaves fewer n to walk than n-1 prime alone.
     @pytest.mark.parametrize(
         "lo,hi,walked_filtered,walked_unfiltered",
         [
             (2, 1000, 8, 8),
             (2, 10**5, 8, 8),
-            (999_999_996_999, 999_999_999_999, 0, 2),
+            (999_999_996_999, 999_999_999_999, 0, 0),
             (5 * 10**11, 5 * 10**11 + 3000, 0, 0),
             (10**9, 10**9 + 3000, 1, 1),
-            # cuts 375 and 250: the rows of step in k above 128 up to the cut
-            # are looked up for each n left
             (10**9, 10**9 + 9000, 1, 1),
-            (3 * 10**7, 3 * 10**7 + 6000, 1, 1),
+            (3 * 10**7, 3 * 10**7 + 6000, 0, 0),
         ],
     )
     def test_walked_per_window(self, lo, hi, walked_filtered, walked_unfiltered):
         assert scan_exceptional(lo, hi, use_sg_filter=True).walked == walked_filtered
         assert scan_exceptional(lo, hi, use_sg_filter=False).walked == walked_unfiltered
+
+    # Each n = 6k is sliced, looked up or walked by the same rows wherever
+    # its window starts, so `walked` adds up over any split of a window.
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=3 * 10**7 - 10**5, max_value=3 * 10**7 + 10**5),
+            st.integers(min_value=MAX_SCAN_HI - 10**5, max_value=MAX_SCAN_HI - 6000),
+        ),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @example(lo=3 * 10**7, left=3000, right=3000)
+    def test_walked_adds_up_over_a_split_window(self, lo, left, right):
+        mid, hi = lo + left, lo + left + right
+        for use_sg_filter in (True, False):
+            whole = scan_exceptional(lo, hi, use_sg_filter).walked
+            parts = [scan_exceptional(*part, use_sg_filter) for part in ((lo, mid), (mid + 1, hi))]
+            assert whole == sum(part.walked for part in parts), (lo, mid, hi, use_sg_filter)
 
     def test_domain_limit(self):
         assert scan_exceptional(MAX_SCAN_HI, MAX_SCAN_HI).exceptional == []
@@ -343,8 +359,8 @@ class TestSieve:
 
 
 class TestPlan:
-    """The plan of a scan (SEGMENT, the cut, the workers) changes its work,
-    never its answer; and of its work, only the cut and the filter change
+    """The plan of a scan (SEGMENT, MAX_STEP, the workers) changes its work,
+    never its answer; and of its work, only MAX_STEP and the filter change
     `walked`."""
 
     @settings(
@@ -380,10 +396,14 @@ class TestPlan:
         assert planned.walked == plain.walked
 
     def test_table_follows_max_step(self, monkeypatch):
-        # the table is cached by its bound, so a patched MAX_STEP needs no reset
+        # the rows are cached by their bound, so a patched MAX_STEP needs no reset
         scan_exceptional(2, 1000)
+        rows, bounds = exceptional._rows, []
+        monkeypatch.setattr(exceptional, "_rows", lambda bound: bounds.append(bound) or rows(bound))
         monkeypatch.setattr(exceptional, "MAX_STEP", 7)
-        assert exceptional._progressions(10**9) == exceptional._table(7)
+        assert scan_exceptional(2, 1000).exceptional == KNOWN_EXCEPTIONAL
+        assert set(bounds) == {7}
+        assert rows(7) == (*exceptional._table(7), [])
 
     def test_rows_clear_every_live_k_a_progression_hits(self):
         max_step = exceptional.MAX_STEP
@@ -401,7 +421,7 @@ class TestPlan:
         assert len(progressions) == 2574
         steps, firsts = exceptional._table(max_step)
         assert len(steps) == 1145
-        assert len(exceptional._progressions(128)[0]) == 193
+        assert len(exceptional._rows(max_step)[0]) == 193
         # the rows' starts all lie in the first window
         assert max(firsts) <= 25_000
         for k0, size in [(1, 25_000), (10**9, 300)]:
@@ -428,7 +448,8 @@ class TestPlan:
         max_step, dense = exceptional.MAX_STEP, exceptional.DENSE_STEP
         steps, firsts = exceptional._table(max_step)
         rows = [(step, first) for step, first in zip(steps, firsts) if step > dense]
-        sparse_steps, tables = exceptional._lookup(max_step)
+        sparse = exceptional._rows(max_step)[2]
+        sparse_steps, tables = [step for step, _ in sparse], [table for _, table in sparse]
         assert sparse_steps == sorted({step for step, _ in rows})
         assert [len(table) for table in tables] == sparse_steps
         entries = [
@@ -441,9 +462,9 @@ class TestPlan:
         assert (len(sparse_steps), len(rows), sum(sparse_steps)) == (101, 952, 31_799)
         # a bound at or below DENSE_STEP leaves every row to the slices
         for bound in (0, 7, 128):
-            assert exceptional._lookup(bound) == ([], [])
+            assert exceptional._rows(bound)[2] == []
 
-    @pytest.mark.parametrize("cut", [7, 128, 129, 250, 512])
+    @pytest.mark.parametrize("max_step", [7, 128, 129, 250, 512])
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -455,11 +476,10 @@ class TestPlan:
     )
     @example(k0=1, size=500)
     @example(k0=10**9, size=500)
-    def test_segment_against_rows_k_by_k(self, cut, use_sg_filter, k0, size):
+    def test_segment_against_rows_k_by_k(self, max_step, use_sg_filter, k0, size):
         # the rows sliced and the rows looked up clear the k that some row of
-        # step <= cut holds, from its first k on, and no other
-        steps, firsts = exceptional._table(exceptional.MAX_STEP)
-        rows = [(step, first) for step, first in zip(steps, firsts) if step <= cut]
+        # `_table(MAX_STEP)` holds, from its first k on, and no other
+        rows = list(zip(*exceptional._table(max_step)))
         left, sg = [], 0
         for k in range(k0, k0 + size):
             live, germain = is_prime(6 * k - 1), is_prime(12 * k - 1)
@@ -468,7 +488,9 @@ class TestPlan:
             if live and (germain or not use_sg_filter) and not held:
                 left.append(6 * k)
         expected = ([n for n in left if find_first_nonbasic(n) is None], sg, len(left))
-        assert exceptional._scan_segment((k0, size), use_sg_filter, cut) == expected
+        with pytest.MonkeyPatch.context() as plan:
+            plan.setattr(exceptional, "MAX_STEP", max_step)
+            assert exceptional._scan_segment((k0, size), use_sg_filter) == expected
 
 
 class TestSieveAgainstWalk:
