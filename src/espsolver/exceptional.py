@@ -22,7 +22,21 @@ with n-1 prime, n-1 is a prime other than 2 and 3, so n is even and
 n != 1 (mod 3).  If n = 2 (mod 3), then 3 divides 2n-1 > 3, so n-1 is no
 Sophie Germain prime, and the progression of step 3 from n = 5 (solution
 (2, 2, 2)) clears n.  So every n >= 5 that is live, or counted as a Sophie
-Germain candidate, is a multiple of 6.  Every scan runs one plan:
+Germain candidate, is a multiple of 6.  Two more prefixes are exact
+conditions on such an n = 6k; the scan does not use them:
+
+- the prefix (2, 2) (r = 4) reads (4x-1)(4y-1) = 4n+1 with x >= 2.  3
+  does not divide 4n+1 = 24k+1, so its divisors = 3 (mod 4) pair off from
+  7 up: n has a solution (2, 2, x, y) exactly when 4n+1 has a prime
+  factor = 3 (mod 4);
+- the prefix (3) (r = 3) reads (3x-1)(3y-1) = 3n+1 with x >= 3.  If
+  12k-1 is prime, 5 does not divide 3n+1 = 18k+1 (else k = 3 (mod 5) and
+  5 | 12k-1), so its divisors = 2 (mod 3), all odd, pair off from 11 up:
+  n has a solution (3, x, y) exactly when 3n+1 has a prime factor
+  = 2 (mod 3).  Not so without 12k-1 prime: at n = 108, 3n+1 = 5^2*13
+  has only the pair (5, 65).
+
+Every scan runs one plan:
 
 - Flags: two bytearrays over k, `live` (6k-1 prime: the live n = 6k) and
   `germain` (6k-1 and 12k-1 both prime: n-1 a Sophie Germain prime).
@@ -36,20 +50,14 @@ Germain candidate, is a multiple of 6.  Every scan runs one plan:
   cache once.
 - Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it
   hits, each of which has a proven non-basic solution.  In k, the
-  progressions are rows, a class of k modulo a step from a first k.  A
-  row is dropped when a common factor of its step and 6k-1 at its first
-  k, above 1 and below that 6k-1, makes every 6k-1 of the row composite,
-  and when the row of a proper divisor of its step starts no later and so
-  holds all of it.  The 193 rows of step up to DENSE_STEP = 128 are sliced
-  over each segment.  The 952 rows of larger step are looked up, one step
-  at a time, for each n that the slices and the filter leave: few n are
-  left, while a slice writes across the whole segment to clear them.
-  When every row was sliced, MAX_STEP = 512 (1 145 rows) was the best of
-  128, 512 and 2048 on [2, 10^8].  With the lookups, 1024 and 2048 scan
-  it in ~0.25 s against ~0.35 s, but their rows take 2 and 5 times as
-  long to build.  The rows are built whole on the first scan, in 3-7 ms
-  at 512 with under 1 ms of it for the lookup arrays, and cached by their
-  bound.
+  progressions are rows, a class of k modulo a step from a first k.
+  `_rows` builds them once, dropping each row that clears no live n that
+  the others leave: 1 145 rows at MAX_STEP = 512, in 3-7 ms.  The 193 of
+  step up to DENSE_STEP = 128 are sliced over each segment.  The 952 of
+  larger step are looked up, one step at a time, for each n that the
+  slices and the filter leave: few n are left, while a slice writes
+  across the whole segment to clear them.  MAX_STEP = 1024 and 2048 scan
+  [2, 10^8] in ~0.25 s against ~0.35 s, but build 2 and 5 times as long.
 - Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
   SEGMENT k (2^22 values of n), whatever the workers.  They bound the
   memory of a scan: each of its two bytearrays of flags takes ~0.7 MB.  A
@@ -59,7 +67,7 @@ What is left is decided by `find_first_nonbasic`, which stops at the first
 non-basic solution that the solver's product-bounded walk
 (`solver.walk_shells`) finds.  Clearing and walking are both exact, so the
 answer does not depend on the plan; `walked`, the count of n left to the
-walk, depends on the filter only.  `is_exceptional` checks
+walk, depends on MAX_STEP and the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
 limit.  On one core (Python 3.11), [2, 10^8] takes ~0.3-0.4 s and
 [2, 10^7] ~0.03-0.05 s; near MAX_SCAN_HI, a 3000-wide window takes
@@ -149,9 +157,15 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 
 
 @cache
-def _table(max_step: int) -> tuple[array, array]:
-    """Step and first k of the rows that the r >= 3 progressions with step
-    <= max_step make of the n = 6k: two columns sorted by step.
+def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
+    """The rows that the r >= 3 progressions with step <= max_step make of
+    the n = 6k, cached by that bound.  Rows of step up to DENSE_STEP, sliced
+    over each segment, come as columns of step and first k, sorted by step.
+    The others come as pairs (t, array), one per step t, ascending, for one
+    lookup per k and step: the array, indexed by k mod t, holds the first k
+    of that class's row, or 0, so a row holds k exactly when
+    0 < first[k % t] <= k.  4-byte entries keep the arrays near 124 KB at
+    MAX_STEP.
 
     A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
@@ -198,37 +212,21 @@ def _table(max_step: int) -> tuple[array, array]:
         for m in range(2 * t, max_step + 1, t):
             divisors[m].append(t)
     steps, firsts = array("q"), array("q")
+    sparse: dict[int, array] = {}
     for key in sorted(first):
         step, k = key >> 32, first[key]
         if 1 < gcd(6 * k - 1, step) < 6 * k - 1:
             continue  # no live k
-        for t in divisors[step]:
-            if first.get(t << 32 | k % t, k + 1) <= k:
-                break  # inside the row of step t
-        else:
+        if any(first.get(t << 32 | k % t, k + 1) <= k for t in divisors[step]):
+            continue  # inside the row of a proper divisor of its step
+        if step <= DENSE_STEP:
             steps.append(step)
             firsts.append(k)
-    return steps, firsts
-
-
-@cache
-def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
-    """The rows of `_table(max_step)` as a scan reads them.  Those of step
-    up to DENSE_STEP, sliced over each segment, come as the columns of
-    step and first k.  The others come as pairs (t, array), one per
-    distinct step t, ascending, for one lookup per k and step: the array is
-    indexed by k mod t, and its entry is the first k of that class's row, or
-    0 where there is none, so a row holds k exactly when
-    0 < first[k % t] <= k.  Cached by its bound; 4-byte entries keep the
-    arrays near 124 KB at MAX_STEP."""
-    steps, firsts = _table(max_step)
-    dense = bisect_right(steps, DENSE_STEP)
-    sparse: dict[int, array] = {}
-    for step, k in zip(steps[dense:], firsts[dense:]):
-        if step not in sparse:
-            sparse[step] = array("i", [0]) * step
-        sparse[step][k % step] = k
-    return steps[:dense], firsts[:dense], list(sparse.items())
+        else:
+            if step not in sparse:
+                sparse[step] = array("i", [0]) * step
+            sparse[step][k % step] = k
+    return steps, firsts, list(sparse.items())
 
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for

@@ -186,8 +186,16 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
     factors m instead and takes its divisors d = -1 (mod p) in the same
     range, ascending, so it finds the same members in the same order.  A
     prime m has only 1 and m as divisors, and 1 is in the range only for
-    the empty prefix.  Such a range has m below about (n / MAX_TRIAL)^2,
-    under 2^64 for n <= MAX_SCAN_HI, where `is_prime` is exact.
+    the empty prefix.  Such an m stays below 2^64, where `is_prime` is
+    exact, for n <= MAX_SCAN_HI:
+
+    - the range spans more than MAX_TRIAL steps of p from low >= 1, so
+      sqrt(m) >= top >= low + MAX_TRIAL*p > MAX_TRIAL*p;
+    - a prefix's sum is at most its product, s <= p (a + b <= a*b for
+      a, b >= 2), and r >= 2, so m <= p*(p + n - 2) + 1 < p*(n + p);
+    - so m < sqrt(m)*(n + p)/MAX_TRIAL, that is
+      m*MAX_TRIAL^2 < (n + p)^2, with p < n/(MAX_TRIAL^2 - 1).  At
+      n = 10^12 that is p < 953 675 and m < 9.6*10^17 < 2^64.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")

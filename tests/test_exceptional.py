@@ -32,6 +32,49 @@ class TestSophieGermain:
         assert is_sophie_germain(p) == expected
 
 
+def prime_factors(m):
+    """The prime factors of m >= 1, by trial division, not by the solver's code."""
+    factors, q = [], 2
+    while q * q <= m:
+        while m % q == 0:
+            factors.append(q)
+            m //= q
+        q += 1 + (q > 2)
+    return factors + [m] * (m > 1)
+
+
+class TestPrefixConditions:
+    """The closed forms of the prefixes (2, 2) and (3) in the module
+    docstring, for n = 6k with 12k-1 prime, against the members that
+    `walk_shells` finds."""
+
+    @staticmethod
+    def assert_forms_match_the_walk(n):
+        has_22 = any(s.nonunit[:2] == (2, 2) for s in walk_shells(n, 4, 4))
+        has_3 = any(s.nonunit[0] == 3 for s in walk_shells(n, 3, 3))
+        assert has_22 == any(q % 4 == 3 for q in prime_factors(4 * n + 1)), n
+        assert has_3 == any(q % 3 == 2 for q in prime_factors(3 * n + 1)), n
+
+    def test_every_n_to_1e5(self):
+        ns = [6 * k for k in range(1, 10**5 // 6 + 1) if is_prime(12 * k - 1)]
+        assert len(ns) == 4489
+        for n in ns:
+            self.assert_forms_match_the_walk(n)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=10**5 // 6, max_value=10**8 // 6))
+    def test_up_to_1e8(self, k):
+        while not is_prime(12 * k - 1):
+            k += 1
+        self.assert_forms_match_the_walk(6 * k)
+
+    def test_prefix_3_needs_12k_minus_1_prime(self):
+        # 3*108 + 1 = 5^2 * 13 has a prime factor 5 = 2 (mod 3), but its only
+        # divisor pair in that class is (5, 65), and 5 < 3*3 - 1; 12*18 - 1 = 5 * 43
+        assert prime_factors(3 * 108 + 1) == [5, 5, 13]
+        assert [s.nonunit[0] for s in walk_shells(108, 3, 3)] == [2, 4]
+
+
 class TestFindFirstNonbasic:
     def test_n15(self):
         s = find_first_nonbasic(15)
@@ -363,6 +406,14 @@ class TestPlan:
     never its answer; and of its work, only MAX_STEP and the filter change
     `walked`."""
 
+    @staticmethod
+    def rows(max_step):
+        # every row of `_rows(max_step)` as (step, first k): the sliced ones,
+        # then those read off the lookup arrays
+        steps, firsts, sparse = exceptional._rows(max_step)
+        looked_up = [(step, first) for step, table in sparse for first in table if first]
+        return list(zip(steps, firsts)) + looked_up
+
     @settings(
         max_examples=30,
         deadline=None,
@@ -403,7 +454,8 @@ class TestPlan:
         monkeypatch.setattr(exceptional, "MAX_STEP", 7)
         assert scan_exceptional(2, 1000).exceptional == KNOWN_EXCEPTIONAL
         assert set(bounds) == {7}
-        assert rows(7) == (*exceptional._table(7), [])
+        # (2, 3) gives n = 18 + 30j, (2, 2, 2) n = 12 + 42j and (2, 4) n = 60 + 42j
+        assert rows(7) == (array("q", [5, 7, 7]), array("q", [3, 2, 10]), [])
 
     def test_rows_clear_every_live_k_a_progression_hits(self):
         max_step = exceptional.MAX_STEP
@@ -419,7 +471,7 @@ class TestPlan:
         for c in range(2, max_step + 2):
             grow((c,), c)
         assert len(progressions) == 2574
-        steps, firsts = exceptional._table(max_step)
+        steps, firsts = zip(*self.rows(max_step))
         assert len(steps) == 1145
         assert len(exceptional._rows(max_step)[0]) == 193
         # the rows' starts all lie in the first window
@@ -444,27 +496,30 @@ class TestPlan:
                     assert row.get((t, first % t), first + 1) > first, (step, first, t)
 
     def test_lookup_holds_the_sparse_rows(self):
-        # every row of step above DENSE_STEP once, in its class, with its first k
+        # the rows up to DENSE_STEP in the columns, sorted by step; every row
+        # of larger step once, in its class, with its first k
         max_step, dense = exceptional.MAX_STEP, exceptional.DENSE_STEP
-        steps, firsts = exceptional._table(max_step)
-        rows = [(step, first) for step, first in zip(steps, firsts) if step > dense]
-        sparse = exceptional._rows(max_step)[2]
+        steps, firsts, sparse = exceptional._rows(max_step)
+        assert list(steps) == sorted(steps) and steps[-1] <= dense
         sparse_steps, tables = [step for step, _ in sparse], [table for _, table in sparse]
-        assert sparse_steps == sorted({step for step, _ in rows})
+        assert sparse_steps == sorted(set(sparse_steps)) and sparse_steps[0] > dense
         assert [len(table) for table in tables] == sparse_steps
-        entries = [
+        rows = [
             (step, res, first)
             for step, table in zip(sparse_steps, tables)
             for res, first in enumerate(table)
             if first
         ]
-        assert entries == sorted((step, first % step, first) for step, first in rows)
+        assert all(first % step == res for step, res, first in rows)
         assert (len(sparse_steps), len(rows), sum(sparse_steps)) == (101, 952, 31_799)
-        # a bound at or below DENSE_STEP leaves every row to the slices
-        for bound in (0, 7, 128):
+        # a bound at or below DENSE_STEP leaves every row to the slices, and
+        # 131 is the least bound that looks one up
+        for bound in (0, 7, 128, 130):
             assert exceptional._rows(bound)[2] == []
+        assert [step for step, _ in exceptional._rows(131)[2]] == [131]
 
-    @pytest.mark.parametrize("max_step", [7, 128, 129, 250, 512])
+    # 131 is the least bound with a looked-up row: step 131 alone
+    @pytest.mark.parametrize("max_step", [7, 128, 131, 250, 512])
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(
@@ -478,8 +533,8 @@ class TestPlan:
     @example(k0=10**9, size=500)
     def test_segment_against_rows_k_by_k(self, max_step, use_sg_filter, k0, size):
         # the rows sliced and the rows looked up clear the k that some row of
-        # `_table(MAX_STEP)` holds, from its first k on, and no other
-        rows = list(zip(*exceptional._table(max_step)))
+        # `_rows(MAX_STEP)` holds, from its first k on, and no other
+        rows = self.rows(max_step)
         left, sg = [], 0
         for k in range(k0, k0 + size):
             live, germain = is_prime(6 * k - 1), is_prime(12 * k - 1)

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import count
+from itertools import count, islice
 from math import prod
 
 import pytest
@@ -65,6 +65,25 @@ class TestCalcSolution:
 
 
 class TestIsPrime:
+    @pytest.mark.parametrize(
+        "m,expected",
+        [
+            (2, True),
+            (561, False),  # Carmichael number
+            (2**31 - 1, True),
+            (2**61 - 1, True),
+            (2**64 - 59, True),  # largest prime below 2^64
+            (2**64 - 1, False),
+            (3215031751, False),  # strong pseudoprime to bases 2,3,5,7
+            # the least strong pseudoprimes to the first 1, 2 and 3 prime bases
+            (2047, False),
+            (1373653, False),
+            (25326001, False),
+        ],
+    )
+    def test_known_values(self, m, expected):
+        assert is_prime(m) == expected
+
     def test_one_not_prime(self):
         assert not is_prime(1)
 
@@ -182,9 +201,9 @@ class TestFactoredLastLevel:
         assert factored == self.first_items(n, r, 10**18)
         assert all(s.n == n and s.r == r for s in factored)
 
-    def test_long_ranges_factor_by_default(self, monkeypatch):
-        # isqrt(10^7 - 2) = 3162 > MAX_TRIAL, so S_2(10^7) comes from the
-        # divisors of 10^7 - 1 = 3^2 * 239 * 4649
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the arguments of every `_divisors` call: the factored last levels
         calls = []
 
         def recording(*args):
@@ -192,8 +211,24 @@ class TestFactoredLastLevel:
             return _divisors(*args)
 
         monkeypatch.setattr(solver, "_divisors", recording)
+        return calls
+
+    def test_long_ranges_factor_by_default(self, calls):
+        # isqrt(10^7 - 2) = 3162 > MAX_TRIAL, so S_2(10^7) comes from the
+        # divisors of 10^7 - 1 = 3^2 * 239 * 4649
         assert [s.nonunit[0] - 1 for s in walk_shells(10**7, 2, 2)] == [1, 3, 9, 239, 717, 2151]
         assert calls == [(10**7 - 1, 1, 3162, 1)]
+
+    def test_factored_m_within_the_bound(self, calls):
+        # the bound in `walk_shells`' docstring, on the first-hit walks of the
+        # 40 largest n = 6k <= MAX_SCAN_HI with n - 1 prime
+        ns = (n for n in range(MAX_SCAN_HI // 6 * 6, 0, -6) if is_prime(n - 1))
+        for n in islice(ns, 40):
+            calls.clear()
+            find_first_nonbasic(n)
+            assert calls, n
+            for m, _, _, p in calls:
+                assert m * solver.MAX_TRIAL**2 < (n + p) ** 2 and m < 2**64, (n, m, p)
 
 
 class TestFactorization:
