@@ -5,14 +5,13 @@ from a trial division of n-1. It builds each S_r(n) for r >= 3 from the
 elements of S_{r-1}(r+j) for j in a small integer window: a base solution
 with non-unit sum t extends to an r-component solution exactly when
 (n - r - j) is divisible by (t + j), the new component being
-w = 1 + (n-r-j)/(t+j). Computed sets, empty or not, are cached in an
-ordered MemoStore keyed by (n, r) so shared subproblems are built once.
+w = 1 + (n-r-j)/(t+j). Computed sets, empty or not, are cached in a
+MemoStore, a dict keyed by (n, r), so shared subproblems are built once.
 Its cost grows like n^2.3 (0.3 s at n = 700, minutes at n = 10^4).
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import namedtuple
 from math import isqrt
 
@@ -84,44 +83,20 @@ def extend_candidate(base: Solution, j: int, n: int, r: int) -> Solution | None:
     return Solution(tuple(sorted(base.nonunit + (w,))), n - r)
 
 
-class MemoStore:
-    """Ordered map from SolutionKey to SolutionSet.
+class MemoStore(dict):
+    """Map from SolutionKey to SolutionSet: the paper's memo as a dict.
 
-    A dict provides the O(1) lookups; a sorted key list maintained by
-    binary insertion keeps iteration in key order at O(log m) comparisons
-    per insert.  Empty sets are stored like any other so dead-end
-    subproblems are never recomputed.
+    The paper examines a Binary Search Tree here; its order would serve an
+    in-order traversal, which the recursion never makes (README, "The memo
+    and the paper's BST"). Empty sets are stored like any other so dead-end
+    subproblems are never recomputed. `calc_shell` looks keys up through
+    `get`, so a subclass that overrides it sees every lookup.
 
     `extend_evaluations` counts divisibility tests performed on behalf of
     this store; a fully memoized call performs none.
     """
 
-    def __init__(self):
-        self._entries: dict[SolutionKey, SolutionSet] = {}
-        self._keys: list[SolutionKey] = []
-        self.extend_evaluations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: SolutionKey) -> bool:
-        return key in self._entries
-
-    def get(self, key: SolutionKey) -> SolutionSet | None:
-        return self._entries.get(key)
-
-    def insert(self, value: SolutionSet) -> None:
-        if value.key not in self._entries:
-            insort(self._keys, value.key)
-        self._entries[value.key] = value
-
-    def keys(self) -> list[SolutionKey]:
-        """All stored keys, ascending."""
-        return list(self._keys)
-
-    def items(self):
-        for key in self._keys:
-            yield key, self._entries[key]
+    extend_evaluations = 0
 
 
 def build_s2(n: int) -> SolutionSet:
@@ -148,8 +123,7 @@ def calc_shell(k: int, r: int, memo: MemoStore, *, j_descending: bool = False) -
     if cached is not None:
         return cached
     if r == 2:
-        result = build_s2(k)
-        memo.insert(result)
+        result = memo[key] = build_s2(k)
         return result
     found = set()
     # above floor(log2 k) + 1, 2^(r-2) > k/2, so 2^(r-2) - r > (k - 3r + 2)/2
@@ -162,8 +136,7 @@ def calc_shell(k: int, r: int, memo: MemoStore, *, j_descending: bool = False) -
             extended = extend_candidate(base, j, k, r)
             if extended is not None:
                 found.add(extended)
-    result = SolutionSet(key, frozenset(found))
-    memo.insert(result)
+    result = memo[key] = SolutionSet(key, frozenset(found))
     return result
 
 

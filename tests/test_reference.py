@@ -133,24 +133,17 @@ class TestExtendCandidate:
 
 
 class TestMemoStore:
-    def test_keys_stay_ordered(self):
-        memo = MemoStore()
-        for n, r in [(15, 4), (2, 2), (7, 2), (5, 3), (15, 2)]:
-            memo.insert(SolutionSet(SolutionKey(n, r), frozenset()))
-        assert memo.keys() == sorted(memo.keys())
-        assert len(memo) == 5
-
     def test_reinsert_same_key(self):
         memo = MemoStore()
-        memo.insert(SolutionSet(SolutionKey(5, 3), frozenset()))
-        memo.insert(SolutionSet(SolutionKey(5, 3), frozenset()))
+        memo[SolutionKey(5, 3)] = SolutionSet(SolutionKey(5, 3), frozenset())
+        memo[SolutionKey(5, 3)] = SolutionSet(SolutionKey(5, 3), frozenset())
         assert len(memo) == 1
-        assert memo.keys() == [SolutionKey(5, 3)]
+        assert list(memo) == [SolutionKey(5, 3)]
 
     def test_get_and_contains(self):
         memo = MemoStore()
         ss = SolutionSet(SolutionKey(5, 3), frozenset({Solution((2, 2, 2), 2)}))
-        memo.insert(ss)
+        memo[ss.key] = ss
         assert SolutionKey(5, 3) in memo
         assert memo.get(SolutionKey(5, 3)) is ss
         assert memo.get(SolutionKey(5, 2)) is None
@@ -224,9 +217,47 @@ class TestReferenceSolution:
             assert asc == desc, n
 
 
+class CountingStore(MemoStore):
+    """A MemoStore that counts its lookups and hits, as the tracer does."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+        self.hits = 0
+
+    def get(self, key):
+        found = super().get(key)
+        self.lookups += 1
+        self.hits += found is not None
+        return found
+
+
+class TestMemoWork:
+    """The recursion's memo work, pinned: README's table of the paper's
+    BST question reads these counts."""
+
+    @pytest.mark.parametrize(
+        "n,entries,lookups,hits,evaluations",
+        [
+            (200, 475, 7_661, 7_186, 6_292),
+            (400, 1_145, 39_855, 38_710, 32_361),
+            (700, 2_287, 145_853, 143_566, 119_767),
+        ],
+    )
+    def test_pinned_counts(self, n, entries, lookups, hits, evaluations):
+        store = CountingStore()
+        reference_solution(n, store)
+        assert (len(store), store.lookups, store.hits, store.extend_evaluations) == (
+            entries,
+            lookups,
+            hits,
+            evaluations,
+        )
+
+
 class TestSolutionKeyOrder:
     def test_matches_lexicographic_order_exhaustively(self):
-        # MemoStore keeps its keys in this order: by n, ties broken by r.
+        # A SolutionKey orders like its tuple: by n, ties broken by r.
         # Equivalence with tuple comparison implies a total order
         # (antisymmetry, transitivity, trichotomy) for free.
         keys = [SolutionKey(n, r) for n in range(2, 51) for r in range(2, n + 1)]
