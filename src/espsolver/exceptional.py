@@ -52,12 +52,17 @@ Every scan runs one plan:
   hits, each of which has a proven non-basic solution.  In k, the
   progressions are rows, a class of k modulo a step from a first k.
   `_rows` builds them once, dropping each row that clears no live n that
-  the others leave: 1 145 rows at MAX_STEP = 512, in 3-7 ms.  The 193 of
-  step up to DENSE_STEP = 128 are sliced over each segment.  The 952 of
-  larger step are looked up, one step at a time, for each n that the
-  slices and the filter leave: few n are left, while a slice writes
-  across the whole segment to clear them.  MAX_STEP = 1024 and 2048 scan
-  [2, 10^8] in ~0.25 s against ~0.35 s, but build 2 and 5 times as long.
+  the others leave: 1 145 rows at MAX_STEP = 512, in 3-7 ms.  Every
+  segment applies all of them, in one of two ways.  Most segments slice
+  the 193 of step up to DENSE_STEP = 128 across them, and look up the
+  952 of larger step, one step at a time, for each n that the slices and
+  the filter leave: few n are left, while a slice writes across the
+  whole segment to clear them.  A segment with fewer live k than dense
+  rows, such as a narrow window, looks up each live k in all 1 145 rows
+  instead, the dense ones first (`_lookups`): a lookup costs 0.4-1.1 us a
+  k, and the 193 slices 65-170 us however few k they clear.  MAX_STEP =
+  1024 and 2048 scan [2, 10^8] in ~0.25 s against ~0.35 s, but build 2
+  and 5 times as long.
 - Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
   SEGMENT k (2^22 values of n), whatever the workers.  They bound the
   memory of a scan: each of its two bytearrays of flags takes ~0.7 MB.  A
@@ -81,6 +86,7 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache, partial
 from itertools import compress
 from math import gcd, isqrt
@@ -212,7 +218,7 @@ def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
         for m in range(2 * t, max_step + 1, t):
             divisors[m].append(t)
     steps, firsts = array("q"), array("q")
-    sparse: dict[int, array] = {}
+    sparse = []
     for key in sorted(first):
         step, k = key >> 32, first[key]
         if 1 < gcd(6 * k - 1, step) < 6 * k - 1:
@@ -223,10 +229,30 @@ def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
             steps.append(step)
             firsts.append(k)
         else:
-            if step not in sparse:
-                sparse[step] = array("i", [0]) * step
-            sparse[step][k % step] = k
-    return steps, firsts, list(sparse.items())
+            sparse.append((step, k))
+    return steps, firsts, _by_step(sparse)
+
+
+def _by_step(rows: Iterable[tuple[int, int]]) -> list[tuple[int, array]]:
+    """Rows (step, first k) as pairs (t, array), one per step t, in the
+    order the rows come: the array, indexed by k mod t, holds the first k
+    of that class's row, or 0."""
+    tables: dict[int, array] = {}
+    for step, k in rows:
+        if step not in tables:
+            tables[step] = array("i", [0]) * step
+        tables[step][k % step] = k
+    return list(tables.items())
+
+
+@cache
+def _lookups(max_step: int) -> list[tuple[int, array]]:
+    """Every row of `_rows(max_step)` laid out for lookups: the dense rows
+    by step, ascending, ahead of the sparse ones, so that the steps that
+    hold the most k are tried first.  The dense arrays take about 10 KB at
+    MAX_STEP."""
+    steps, firsts, sparse = _rows(max_step)
+    return _by_step(zip(steps, firsts)) + sparse
 
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for
@@ -264,21 +290,33 @@ def _form(c: int, k0: int, qs: array, residues: array, flags: bytearray) -> byte
     clears, so a copy of another form's flags ends as the AND of the two,
     and a base prime's own flag is restored only where it was set before
     the pass: 71 = 12*6 - 1 is a base prime, but 35 = 6*6 - 1 is composite,
-    so k = 6 stays cleared in a copy of the 6k-1 flags.  Each part was
-    measured faster than its alternative: one slice loop for every q cost
-    +50-100 % of `_sieve`'s time, a check per hit in place of the
-    restoring pass +15-17 %, and 64-bit first k, to start each q at q*q,
-    +5-12 %."""
+    so k = 6 stays cleared in a copy of the 6k-1 flags.  A q >= size/3
+    has at most three hits, cleared by stores: a slice costs 0.25-0.5 us
+    a prime however few bytes it writes, the stores about half that.  Each
+    part was measured faster than its alternative: one slice loop for
+    every q cost +50-100 % of `_sieve`'s time, a slice for each q with two
+    or three hits +7-16 % at 10^11 and +18-30 % at 10^12 on a full
+    segment, a check per hit in place of the restoring pass +15-17 %, and
+    64-bit first k, to start each q at q*q, +5-12 %."""
     size = len(flags)
     count = bisect_right(qs, isqrt(c * (k0 + size - 1) - 1))
-    few = bisect_left(qs, size, 0, count)  # from qs[few] on, one hit at most
+    # from qs[few] on, three hits at most; from qs[one] on, one at most
+    few = bisect_left(qs, -(-size // 3), 0, count)
+    one = bisect_left(qs, size, few, count)
     # a base prime that is itself some c*k-1 here is cleared as its own multiple
     start = bisect_left(qs, c * k0 - 1, 0, count)
     own = [i for q in qs[start:count] if q % c == c - 1 and flags[i := (q + 1) // c - k0]]
     for q, a in zip(qs[:few], residues):
         i = (a - k0) % q
         flags[i::q] = bytearray((size - 1 - i) // q + 1)
-    for q, a in zip(qs[few:count], residues[few:count]):
+    for q, a in zip(qs[few:one], residues[few:one]):
+        i = (a - k0) % q  # < q < size
+        flags[i] = 0
+        if (i := i + q) < size:
+            flags[i] = 0
+            if (i := i + q) < size:
+                flags[i] = 0
+    for q, a in zip(qs[one:count], residues[one:count]):
         if (i := (a - k0) % q) < size:
             flags[i] = 0
     for i in own:
@@ -295,27 +333,46 @@ def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
     return live, _form(12, k0, qs, r12, bytearray(live))
 
 
+def _few_live(flags: bytearray, count: int | None, rows: int) -> bool:
+    """True when fewer k are live in `flags` than there are dense rows,
+    `rows`: then looking each live k up in every row (0.4-1.1 us a k)
+    costs less than slicing the dense rows across the segment (65-170 us
+    on a narrow one).  `count` is the live count if already taken, else
+    None.  Only a segment of at most 64 k a row is counted: 6k-1 is prime
+    for more than 1 k in 10 below MAX_SCAN_HI, so a wider one holds more
+    than 1 000 live k, and counting a full segment costs 0.4-0.7 ms."""
+    if count is None:
+        if len(flags) > 64 * rows:
+            return False
+        count = flags.count(1)
+    return count < rows
+
+
 def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[int], int, int]:
     """Scan the n = 6k for k = k0 ... k0 + size - 1, k0 >= 1: the exceptional
     n, the Sophie Germain count, and how many n the walk decided.  The count
     is taken from `germain` before any slice; then the filter picks the flags
     that are read, `germain` or `live`.  The rows of `_rows(MAX_STEP)` clear
-    n: those up to DENSE_STEP are sliced, the others looked up for each n
-    left."""
+    n.  If fewer k are live than there are dense rows (`_few_live`), each
+    live k is looked up in every row; otherwise the dense rows are sliced,
+    and the others looked up for each n left.  Both ways clear the same n."""
     k0, size = segment
     live, germain = _sieve(k0, size)
     sg_count = germain.count(1)
     flags = germain if use_sg_filter else live
-    steps, firsts, sparse = _rows(MAX_STEP)
-    for step, k in zip(steps, firsts):
-        i = k - k0 if k >= k0 else (k - k0) % step
-        if i < size:
-            flags[i::step] = bytearray((size - 1 - i) // step + 1)
+    steps, firsts, tables = _rows(MAX_STEP)
+    if _few_live(flags, sg_count if use_sg_filter else None, len(steps)):
+        tables = _lookups(MAX_STEP)
+    else:
+        for step, k in zip(steps, firsts):
+            i = k - k0 if k >= k0 else (k - k0) % step
+            if i < size:
+                flags[i::step] = bytearray((size - 1 - i) // step + 1)
     survivors = []
     i = flags.find(1)
     while i >= 0:
         k = k0 + i
-        for step, first in sparse:
+        for step, first in tables:
             if 0 < first[k % step] <= k:
                 break
         else:
@@ -351,7 +408,7 @@ def scan_exceptional(
     k0, end = (max(lo, 6) + 5) // 6, hi // 6 + 1
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
     # forked workers inherit the caches that their segments read
-    _rows(MAX_STEP)
+    _lookups(MAX_STEP)
     _base_primes(isqrt(2 * hi))
     task = partial(_scan_segment, use_sg_filter=use_sg_filter)
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k

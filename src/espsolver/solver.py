@@ -65,8 +65,10 @@ MAX_SCAN_HI = 10**12
 # same time within noise; with no factoring they took 2.5x and ~150x as long.
 MAX_TRIAL = 1024
 # Witness bases making the strong-pseudoprime test deterministic for all
-# inputs below 3.1 * 10^23, which covers the full 64-bit range; `is_prime`
-# also trial-divides by them first, and so does `_prime_factors`.
+# inputs below psi_12 = 318 665 857 834 031 151 167 461 (about 3.2 * 10^23),
+# the least strong pseudoprime to all twelve (Sorenson and Webster, 2015),
+# which covers the full 64-bit range; `is_prime` also trial-divides by them
+# first, and so does `_prime_factors`.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Fewer suffice for smaller inputs: the first 4 below 3 215 031 751 and the
 # first 7 below 341 550 071 728 321, the least strong pseudoprimes to those

@@ -375,10 +375,23 @@ class TestSieve:
     # k0 = 1 ... 3: the window holds base primes, which each form clears as
     # their own multiples and then restores where they were set before;
     # size 1 leaves every base prime to the one-hit loop, size 3000 sends the
-    # primes below 3000 to the slice loop
+    # primes below 1000 to the slice loop.  In a window of size q, q + 1, 2q,
+    # 2q + 1, 3q and 3q + 1 the base prime q has 1, 1-2, 2, 2-3, 3 and 3-4
+    # hits: it moves from the one-hit loop to the few-hit loop, and at 3q + 1
+    # to the slice loop.  At k0 = 1 and 2, 5 and 11 are themselves 6k-1 or
+    # 12k-1 and are restored through each loop; at k0 = 3, 17 is, in the
+    # windows of size 51 and 52
     @pytest.mark.parametrize(
         "k0,size",
-        [(1, 1), (1, 2), (1, 40), (1, 3000), (2, 7), (3, 500), (5_000_000, 1), (5_000_000, 3000)],
+        [(1, 1), (1, 2), (1, 40), (1, 3000), (2, 7), (3, 500), (5_000_000, 1), (5_000_000, 3000)]
+        + sorted(
+            {
+                (k0, m * q + extra)
+                for k0, q in [(1, 5), (1, 11), (2, 11), (3, 13), (3, 17), (5_000_000, 997)]
+                for m in (1, 2, 3)
+                for extra in (0, 1)
+            }
+        ),
     )
     def test_examples(self, k0, size):
         self.assert_flags_are_primality(k0, size)
@@ -517,6 +530,17 @@ class TestPlan:
         for bound in (0, 7, 128, 130):
             assert exceptional._rows(bound)[2] == []
         assert [step for step, _ in exceptional._rows(131)[2]] == [131]
+        # the lookups hold the dense rows too, by ascending step, ahead of
+        # the sparse ones: 39 steps, 2 535 entries
+        lookups = exceptional._lookups(max_step)
+        assert lookups[-len(sparse) :] == sparse
+        dense_steps = [step for step, _ in lookups[: -len(sparse)]]
+        assert dense_steps == sorted(set(steps))
+        assert (len(dense_steps), sum(dense_steps)) == (39, 2_535)
+        looked_up = {
+            (step, first) for step, table in lookups[: -len(sparse)] for first in table if first
+        }
+        assert looked_up == set(zip(steps, firsts))
 
     # 131 is the least bound with a looked-up row: step 131 alone
     @pytest.mark.parametrize("max_step", [7, 128, 131, 250, 512])
@@ -543,9 +567,39 @@ class TestPlan:
             if live and (germain or not use_sg_filter) and not held:
                 left.append(6 * k)
         expected = ([n for n in left if find_first_nonbasic(n) is None], sg, len(left))
+        # the rule's own choice, then each way of applying the dense rows
+        rules = [exceptional._few_live, lambda *args: False, lambda *args: True]
         with pytest.MonkeyPatch.context() as plan:
             plan.setattr(exceptional, "MAX_STEP", max_step)
-            assert exceptional._scan_segment((k0, size), use_sg_filter) == expected
+            for way, rule in enumerate(rules):
+                plan.setattr(exceptional, "_few_live", rule)
+                assert exceptional._scan_segment((k0, size), use_sg_filter) == expected, way
+
+    # Filtered, then unfiltered.  The 501 k of a 3000-wide window at 3*10^7
+    # hold 14 Sophie Germain k and 89 live k, fewer than the 193 dense rows.
+    # [2, 10^5] holds 1 169 of the first, and its 16 666 k are too many to
+    # count the second; a full segment at 10^12 holds 7 262 and 76 085; the
+    # 16 667 k of [10^12 - 10^5, 10^12] hold 149 and, uncounted, 1 802.
+    @pytest.mark.parametrize(
+        "lo,hi,looked_up",
+        [
+            (30_000_000, 30_003_000, [True, True]),
+            (2, 10**5, [False, False]),
+            (MAX_SCAN_HI - 6 * exceptional.SEGMENT + 1, MAX_SCAN_HI, [False, False]),
+            (MAX_SCAN_HI - 10**5, MAX_SCAN_HI, [True, False]),
+        ],
+    )
+    def test_which_segments_look_up_the_dense_rows(self, monkeypatch, lo, hi, looked_up):
+        rule, ways = exceptional._few_live, []
+
+        def recorded(*args):
+            ways.append(rule(*args))
+            return ways[-1]
+
+        monkeypatch.setattr(exceptional, "_few_live", recorded)
+        for use_sg_filter in (True, False):
+            scan_exceptional(lo, hi, use_sg_filter)
+        assert ways == looked_up
 
 
 class TestSieveAgainstWalk:

@@ -93,6 +93,18 @@ class TestIsPrime:
     def test_one_not_prime(self):
         assert not is_prime(1)
 
+    def test_witness_bound(self):
+        # psi_12, the least strong pseudoprime to the 12 bases up to 37, is
+        # composite and passes them all, and base 41 shows it composite
+        psi12 = 318_665_857_834_031_151_167_461
+        assert psi12 == 399_165_290_221 * 798_330_580_441
+        assert is_prime(psi12)
+        d, s = psi12 - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        powers = [pow(41, d << j, psi12) for j in range(s)]
+        assert powers[0] != 1 and psi12 - 1 not in powers
+
     def test_113(self):
         assert is_prime(113)
 
