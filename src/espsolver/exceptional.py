@@ -212,6 +212,7 @@ def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
 
     for x in range(2, isqrt(max_step + 1) + 1):
         extend(x, x, 3, x)
+    del extend  # its closure refers to it and holds `first`: free them with the frame
     # the proper divisors of each step that are steps of some row
     divisors: list[list[int]] = [[] for _ in range(max_step + 1)]
     for t in {key >> 32 for key in first}:

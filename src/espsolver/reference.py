@@ -34,8 +34,9 @@ class SolutionSet:
     __slots__ = ("key", "solutions")
 
     def __init__(self, key: SolutionKey, solutions: frozenset[Solution]):
+        r, units = key.r, key.n - key.r
         for s in solutions:
-            if s.r != key.r or s.n != key.n:
+            if len(s.nonunit) != r or s.units != units:
                 raise InvalidSolutionError(f"solution {s} does not belong to key {key}")
         self.key = key
         self.solutions = solutions

@@ -23,6 +23,28 @@ A solve takes about 0.05 ms at n = 700, 0.4 ms at 10^4, 20 ms at 10^6,
 3.11), a little under linear in n at large n, so `calc_solution` accepts
 n up to MAX_SOLVE_N.
 
+With a memo, `calc_solution` fills it a block at a time: `_solve_block`
+is the same walk bounded by hi instead of by one n, and builds every
+S_r(n) of the aligned block of BLOCK values of n that holds the n asked
+for.  Under a prefix of r - 2 components (product p, sum s) the members
+with last components x <= y lie at n = d*y - s - x + r, d = p*x - 1: one
+remainder per x finds the least such n >= lo, and each member after it
+costs O(1).  The x range is that of one walk bounded by hi, so a block
+costs little more than one walk at large n, and its members at small n
+(best of 3-60 runs, same host):
+
+    n       one walk   64-wide block   one-off call with a memo
+    800      0.05 ms      0.4 ms (8x)         1.2 ms (17-25x)
+    10^4     0.36 ms      1.4 ms (4x)         2.6 ms (7x)
+    10^6       23 ms       38 ms (1.7x)        40 ms (1.6-1.8x)
+    10^7     0.19 s      0.31 s (1.6x)       0.28-0.38 s (1.3-1.9x)
+
+A sweep over consecutive n with one memo thus costs about 1/8 of a walk
+per n at 800 and 1/40 at 10^6; a one-off call pays for its whole block,
+filing included.  Without a memo `calc_solution` keeps the one walk: a
+block of width one is 1.1-1.25x slower, its remainder per x costing more
+than `m % d`.
+
 The walk's last level tries one divisor per step of a range; a range of
 more than MAX_TRIAL steps is replaced by the divisors of m that lie in
 it, from a factorization (trial division by the primes up to 37, then
@@ -53,9 +75,17 @@ from .core import DomainError, Solution
 # Re-exported, here and in `exceptional`, only for tests/test_acceptance.py,
 # bench/workloads.py and bench/tracing.py, which read or patch them by name.
 from .reference import MemoStore, build_s2, calc_shell, reference_solution  # noqa: F401
+from .reference import SolutionKey, SolutionSet
 
 # Largest n `calc_solution` accepts; the walk takes about 1.4 s there.
 MAX_SOLVE_N = 10**8
+# Width of the aligned blocks of n that `calc_solution` fills a memo with.
+# On the `tabulate` benchmark (200 consecutive n near 800, one memo; medians
+# of 6 runs) widths 32, 64 and 128 read 6.6, 6.8 and 6.8 ms, within noise,
+# and 256 read 9.6-11.1 ms, as 200 n then touch two blocks of 256.  At 10^6
+# a block of 64 costs 1.6 walks against 1.5 for 32, so half as much per n,
+# and at n = 800 a one-off call pays half what a block of 128 costs.
+BLOCK = 64
 # Largest n `walk_shells` accepts, and so the scan's limit: up to it a factored
 # last level's m is below 2^64, where `is_prime` is exact.
 MAX_SCAN_HI = 10**12
@@ -235,17 +265,84 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
         return False
 
     visit((), 1, 0, 2, 2)
+    del visit  # its closure refers to it: free the pair now, not at the next gc pass
     return found
 
 
-def calc_solution(n: int, memo: object = None) -> set[Solution]:
-    """All ESP solutions for n variables, for 2 <= n <= MAX_SOLVE_N: the
-    union of S_r(n) for r = 2 ... floor(log2 n) + 1, from one
-    `walk_shells` pass over every shell.
+def _solve_block(lo: int, hi: int) -> list[list[list[Solution]]]:
+    """The members of S_r(n) for lo <= n <= hi, as shells[r - 2][n - lo],
+    r = 2 ... floor(log2 hi) + 1, for 2 <= lo <= hi <= MAX_SOLVE_N and at
+    most BLOCK values of n.
 
-    `memo` is accepted for callers that pass one and is not used; the walk
-    keeps no state between calls.
+    The walk of `walk_shells` bounded by hi instead of by one n.  Under a
+    prefix of r - 2 components (product p, sum s), a member with last
+    components x <= y has n = d*y - s - x + r, d = p*x - 1, so the n that
+    (prefix, x) reaches step by d from p*x^2 - 2*x - s + r (y = x), and x
+    runs while that is <= hi, that is d <= isqrt(p*(s + hi - r) + 1).
+    One remainder per x gives the least of them >= lo, and each member
+    from there on costs O(1).
     """
+    if lo < 2:
+        raise DomainError(f"n must be >= 2, got {lo}")
+    if not lo <= hi <= MAX_SOLVE_N or hi - lo >= BLOCK:
+        raise DomainError(f"need lo <= hi <= {MAX_SOLVE_N}, at most {BLOCK} wide, got ({lo}, {hi})")
+    last = hi.bit_length()
+    width = hi - lo + 1
+    shells = [[[] for _ in range(width)] for _ in range(last - 1)]
+
+    def visit(prefix: tuple[int, ...], p: int, s: int, start: int, r: int) -> None:
+        # the prefix has r - 2 components, p their product and s their sum
+        row = shells[r - 2]
+        k = r - s - lo
+        for x in range(start, (isqrt(p * (s + hi - r) + 1) + 1) // p + 1):
+            d = p * x - 1
+            t = (k - x) % d  # lo + t is the least n >= lo that d*y - x - s + r hits
+            if t < width:
+                n, y = lo + t, (lo + t + x + s - r) // d
+                if y < x:
+                    n, y = n + (x - y) * d, x
+                while n <= hi:
+                    row[n - lo].append(Solution(prefix + (x, y), n - r))
+                    n, y = n + d, y + 1
+        if r < last:
+            num = s + hi - r - 1
+            x = start
+            while p * x**3 - 3 * x <= num:
+                visit(prefix + (x,), p * x, s + x, x, r + 1)
+                x += 1
+
+    visit((), 1, 0, 2, 2)
+    del visit
+    return shells
+
+
+def calc_solution(n: int, memo: MemoStore | None = None) -> set[Solution]:
+    """All ESP solutions for n variables, for 2 <= n <= MAX_SOLVE_N: the
+    union of S_r(n) for r = 2 ... floor(log2 n) + 1.
+
+    Without a memo, from one `walk_shells` pass over every shell.  With
+    one, from its entries S_r(n) under SolutionKey(n, r), each read
+    through `memo.get`; if any is missing, the aligned block of BLOCK
+    values of n that holds n is solved by `_solve_block` first, and all
+    its sets are filed.
+    """
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
     if n > MAX_SOLVE_N:
         raise DomainError(f"n must be <= {MAX_SOLVE_N}, got {n}")
-    return set(walk_shells(n, 2, n.bit_length()))
+    if memo is None:
+        return set(walk_shells(n, 2, n.bit_length()))
+    # a SolutionKey is the tuple (n, r), so a plain tuple finds its entry
+    shells = range(2, n.bit_length() + 1)
+    sets = [memo.get((n, r)) for r in shells]
+    if None in sets:
+        start = n - n % BLOCK
+        lo, hi = max(start, 2), min(start + BLOCK - 1, MAX_SOLVE_N)
+        empty = frozenset()  # shared by the empty sets, most of a block's
+        for r, row in enumerate(_solve_block(lo, hi), 2):
+            for m in range(max(lo, 1 << (r - 1)), hi + 1):  # r <= floor(log2 m) + 1
+                key = SolutionKey(m, r)
+                members = row[m - lo]
+                memo[key] = SolutionSet(key, frozenset(members) if members else empty)
+        sets = [memo.get((n, r)) for r in shells]
+    return set().union(*[entry.solutions for entry in sets])

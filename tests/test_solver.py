@@ -1,3 +1,5 @@
+import gc
+import random
 import tracemalloc
 from itertools import count, islice
 from math import prod
@@ -6,16 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from espsolver import solver
+from espsolver import exceptional, solver
 from espsolver.core import DomainError, Solution, common_value, is_basic, validate
 from espsolver.exceptional import find_first_nonbasic
 from espsolver.oracle import brute_force_solutions, exhaustive_tiny_solutions
-from espsolver.reference import MemoStore, build_s2, reference_solution
+from espsolver.reference import MemoStore, SolutionKey, SolutionSet, build_s2, reference_solution
 from espsolver.solver import (
+    BLOCK,
     MAX_SCAN_HI,
     MAX_SOLVE_N,
     _divisors,
     _prime_factors,
+    _solve_block,
     calc_solution,
     is_prime,
     walk_shells,
@@ -341,3 +345,118 @@ class TestOneWalkAgainstOneShellWalks:
     def test_first_nonbasic_is_the_first_member_of_the_lowest_shell(self, n):
         first_members = (walk_shells(n, r, r, limit=1) for r in range(3, n.bit_length() + 1))
         assert find_first_nonbasic(n) == next(filter(None, first_members), [None])[0]
+
+
+class TestBlockSolve:
+    """The block walk, and the memo that `calc_solution` fills from it,
+    against one walk per n."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=BLOCK))
+    @example(2, BLOCK - 1)  # shells from r = 2 to r = 6, cut at floor(log2 n) + 1
+    @example(720720, 1)
+    @example(10**6 - BLOCK + 1, BLOCK)
+    def test_matches_one_walk_per_n(self, lo, width):
+        hi = lo + width - 1
+        shells = _solve_block(lo, hi)
+        assert len(shells) == hi.bit_length() - 1
+        for n in range(lo, hi + 1):
+            members = [s for row in shells for s in row[n - lo]]
+            assert len(members) == len(set(members)), n
+            assert set(members) == calc_solution(n), n
+            assert all(s.r == r for r, row in enumerate(shells, 2) for s in row[n - lo]), n
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_memo_in_any_order(self, order):
+        ns = list(range(2, 1301))
+        if order == "descending":
+            ns.reverse()
+        elif order == "shuffled":
+            random.Random(1300).shuffle(ns)
+        memo = MemoStore()
+        for n in ns:
+            assert calc_solution(n, memo) == calc_solution(n), n
+        # blocks are aligned, so the memo ends the same whatever the order
+        assert set(memo) == {(m, r) for m in range(2, 1344) for r in range(2, m.bit_length() + 1)}
+
+    def test_files_every_shell_of_the_block(self):
+        memo = MemoStore()
+        assert calc_solution(100, memo) == calc_solution(100)
+        assert set(memo) == {(m, r) for m in range(64, 128) for r in range(2, m.bit_length() + 1)}
+        for key, entry in memo.items():
+            assert type(key) is SolutionKey and type(entry) is SolutionSet and entry.key is key
+            assert set(entry) == set(walk_shells(key.n, key.r, key.r)), key
+        assert calc_solution(5, memo) == calc_solution(5)
+        assert len(memo) == sum(m.bit_length() - 1 for m in range(2, 128))
+
+    def test_last_block_is_clipped_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_SOLVE_N", 100)
+        memo = MemoStore()
+        assert calc_solution(100, memo) == calc_solution(100)
+        assert {key.n for key in memo} == set(range(64, 101))
+        with pytest.raises(DomainError):
+            calc_solution(101, memo)
+
+    def test_reads_only_through_get(self):
+        class CountingStore(MemoStore):
+            lookups = 0
+
+            def get(self, key):
+                self.lookups += 1
+                return super().get(key)
+
+        memo = CountingStore()
+        calc_solution(800, memo)  # 9 misses, then 9 hits after the fill
+        assert memo.lookups == 2 * 9
+        calc_solution(801, memo)
+        assert memo.lookups == 3 * 9
+
+    def test_reference_reads_the_engine_memo(self):
+        memo = MemoStore()
+        for n in range(2, 201):
+            calc_solution(n, memo)
+        for n in range(2, 201):
+            assert reference_solution(n, memo) == reference_solution(n), n
+        # every set the recursion asks for was filed, so it extends nothing
+        assert memo.extend_evaluations == 0
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(1, 10), (0, 5), (10, 9), (MAX_SOLVE_N, MAX_SOLVE_N + 1), (100, 100 + BLOCK)]
+    )
+    def test_block_rejects_its_domain(self, lo, hi):
+        with pytest.raises(DomainError):
+            _solve_block(lo, hi)
+
+    @pytest.mark.parametrize("n", [1, 0, MAX_SOLVE_N + 1])
+    def test_memo_path_rejects_its_domain(self, n):
+        memo = MemoStore()
+        with pytest.raises(DomainError):
+            calc_solution(n, memo)
+        assert not memo
+
+
+class TestNoCyclicGarbage:
+    """The walks free what they build as they return: a collection right
+    after a call finds nothing."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: walk_shells(800, 2, 10),
+            lambda: walk_shells(10**6, 3, 3, limit=1),
+            lambda: calc_solution(800),
+            lambda: calc_solution(800, MemoStore()),
+            lambda: _solve_block(800, 863),
+            lambda: find_first_nonbasic(444),
+            lambda: exceptional._rows.__wrapped__(exceptional.DENSE_STEP),  # not the cached one
+        ],
+        ids=["walk", "walk-limit", "calc", "calc-memo", "block", "first-nonbasic", "rows"],
+    )
+    def test_collection_after_the_call_finds_nothing(self, call):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
