@@ -25,6 +25,9 @@ class SolutionKey(namedtuple("SolutionKey", "n r")):
     __slots__ = ()
 
 
+_EMPTY: frozenset[Solution] = frozenset()
+
+
 class SolutionSet:
     """The (possibly empty) set of solutions for one (n, r) key.
 
@@ -40,6 +43,15 @@ class SolutionSet:
                 raise InvalidSolutionError(f"solution {s} does not belong to key {key}")
         self.key = key
         self.solutions = solutions
+
+    @classmethod
+    def empty(cls, key: SolutionKey) -> SolutionSet:
+        """The empty set for `key`: no member to check, and every one shares
+        one frozenset."""
+        entry = object.__new__(cls)
+        entry.key = key
+        entry.solutions = _EMPTY
+        return entry
 
     def __repr__(self) -> str:
         return f"SolutionSet(key={self.key!r}, solutions={self.solutions!r})"

@@ -31,13 +31,14 @@ with last components x <= y lie at n = d*y - s - x + r, d = p*x - 1: one
 remainder per x finds the least such n >= lo, and each member after it
 costs O(1).  The x range is that of one walk bounded by hi, so a block
 costs little more than one walk at large n, and its members at small n
-(best of 3-60 runs, same host):
+(least of the best-of-4-to-300 times of four runs, same host; ratios
+within one run):
 
     n       one walk   64-wide block   one-off call with a memo
-    800      0.05 ms      0.4 ms (8x)         1.2 ms (17-25x)
-    10^4     0.36 ms      1.4 ms (4x)         2.6 ms (7x)
-    10^6       23 ms       38 ms (1.7x)        40 ms (1.6-1.8x)
-    10^7     0.19 s      0.31 s (1.6x)       0.28-0.38 s (1.3-1.9x)
+    800      0.04 ms     0.31 ms (6-8x)      0.74 ms (18-20x)
+    10^4     0.32 ms      1.1 ms (3-3.4x)     1.9 ms (5.5-6.6x)
+    10^6       18 ms       29 ms (1.4-1.7x)    31 ms (1.4-2.3x)
+    10^7     0.16 s      0.22 s (1.3-1.6x)   0.24 s (1.1-1.7x)
 
 A sweep over consecutive n with one memo thus costs about 1/8 of a walk
 per n at 800 and 1/40 at 10^6; a one-off call pays for its whole block,
@@ -68,6 +69,7 @@ in `reference`; nothing here calls it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd, isqrt
 
 from .core import DomainError, Solution
@@ -80,11 +82,17 @@ from .reference import SolutionKey, SolutionSet
 # Largest n `calc_solution` accepts; the walk takes about 1.4 s there.
 MAX_SOLVE_N = 10**8
 # Width of the aligned blocks of n that `calc_solution` fills a memo with.
-# On the `tabulate` benchmark (200 consecutive n near 800, one memo; medians
-# of 6 runs) widths 32, 64 and 128 read 6.6, 6.8 and 6.8 ms, within noise,
-# and 256 read 9.6-11.1 ms, as 200 n then touch two blocks of 256.  At 10^6
-# a block of 64 costs 1.6 walks against 1.5 for 32, so half as much per n,
-# and at n = 800 a one-off call pays half what a block of 128 costs.
+# On the `tabulate` benchmark (200 consecutive n from 784-816, one memo;
+# `--seconds 5`, seeds 1-5, medians) widths 32, 64 and 128 read 5.5, 5.6
+# and 5.3 ms, within noise, and 256 read 7.1 ms (6.9-9.5).  The work is the
+# same: at 256 the 200 n lie in the one block [768, 1023], and in-process
+# passes over them read 3.9-4.3 ms at every width.  What differs is the
+# cyclic garbage collector: in the benchmark's larger heap a full
+# collection (5-6 ms) fell inside the one call that files all 256 n in
+# about half of the passes, and inside no call at 64; with the collector
+# off, 256 read as 64.  At 10^6 a block of 64 costs 1.6 walks against 1.5
+# for 32, so half as much per n, and at n = 800 a one-off call pays half
+# what a block of 128 costs.
 BLOCK = 64
 # Largest n `walk_shells` accepts, and so the scan's limit: up to it a factored
 # last level's m is below 2^64, where `is_prime` is exact.
@@ -269,10 +277,10 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
     return found
 
 
-def _solve_block(lo: int, hi: int) -> list[list[list[Solution]]]:
+def _solve_block(lo: int, hi: int) -> list[list[Sequence[Solution]]]:
     """The members of S_r(n) for lo <= n <= hi, as shells[r - 2][n - lo],
     r = 2 ... floor(log2 hi) + 1, for 2 <= lo <= hi <= MAX_SOLVE_N and at
-    most BLOCK values of n.
+    most BLOCK values of n: a list, or an empty tuple if there are none.
 
     The walk of `walk_shells` bounded by hi instead of by one n.  Under a
     prefix of r - 2 components (product p, sum s), a member with last
@@ -288,7 +296,10 @@ def _solve_block(lo: int, hi: int) -> list[list[list[Solution]]]:
         raise DomainError(f"need lo <= hi <= {MAX_SOLVE_N}, at most {BLOCK} wide, got ({lo}, {hi})")
     last = hi.bit_length()
     width = hi - lo + 1
-    shells = [[[] for _ in range(width)] for _ in range(last - 1)]
+    new = tuple.__new__  # a Solution without the Python-level __new__ of a namedtuple
+    # each n starts with one shared empty tuple, most of a block's, and gets a
+    # list at its first member
+    shells = [[()] * width for _ in range(last - 1)]
 
     def visit(prefix: tuple[int, ...], p: int, s: int, start: int, r: int) -> None:
         # the prefix has r - 2 components, p their product and s their sum
@@ -302,7 +313,11 @@ def _solve_block(lo: int, hi: int) -> list[list[list[Solution]]]:
                 if y < x:
                     n, y = n + (x - y) * d, x
                 while n <= hi:
-                    row[n - lo].append(Solution(prefix + (x, y), n - r))
+                    member = new(Solution, (prefix + (x, y), n - r))
+                    if row[n - lo]:
+                        row[n - lo].append(member)
+                    else:
+                        row[n - lo] = [member]
                     n, y = n + d, y + 1
         if r < last:
             num = s + hi - r - 1
@@ -324,7 +339,7 @@ def calc_solution(n: int, memo: MemoStore | None = None) -> set[Solution]:
     one, from its entries S_r(n) under SolutionKey(n, r), each read
     through `memo.get`; if any is missing, the aligned block of BLOCK
     values of n that holds n is solved by `_solve_block` first, and all
-    its sets are filed.
+    its sets are filed, the empty ones by `SolutionSet.empty`.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -338,11 +353,11 @@ def calc_solution(n: int, memo: MemoStore | None = None) -> set[Solution]:
     if None in sets:
         start = n - n % BLOCK
         lo, hi = max(start, 2), min(start + BLOCK - 1, MAX_SOLVE_N)
-        empty = frozenset()  # shared by the empty sets, most of a block's
+        new, empty = tuple.__new__, SolutionSet.empty  # most of a block's sets are empty
         for r, row in enumerate(_solve_block(lo, hi), 2):
             for m in range(max(lo, 1 << (r - 1)), hi + 1):  # r <= floor(log2 m) + 1
-                key = SolutionKey(m, r)
+                key = new(SolutionKey, (m, r))
                 members = row[m - lo]
-                memo[key] = SolutionSet(key, frozenset(members) if members else empty)
+                memo[key] = SolutionSet(key, frozenset(members)) if members else empty(key)
         sets = [memo.get((n, r)) for r in shells]
     return set().union(*[entry.solutions for entry in sets])

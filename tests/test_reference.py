@@ -280,3 +280,11 @@ class TestSolutionSet:
         ss = SolutionSet(SolutionKey(15, 2), frozenset({Solution((2, 15), 13)}))
         assert len(ss) == 1
         assert set(ss) == {Solution((2, 15), 13)}
+
+    def test_empty(self):
+        key = SolutionKey(4, 3)
+        ss = SolutionSet.empty(key)
+        assert type(ss) is SolutionSet and ss.key is key
+        assert len(ss) == 0 and list(ss) == []
+        assert ss.solutions == frozenset()
+        assert SolutionSet.empty(SolutionKey(5, 3)).solutions is ss.solutions

@@ -389,6 +389,19 @@ class TestBlockSolve:
         assert calc_solution(5, memo) == calc_solution(5)
         assert len(memo) == sum(m.bit_length() - 1 for m in range(2, 128))
 
+    def test_filed_sets_match_the_checking_constructor(self):
+        memo = MemoStore()
+        for n in range(2, 1301):
+            calc_solution(n, memo)
+        for key, entry in memo.items():
+            # SolutionSet compares by identity, so compare what it holds
+            checked = SolutionSet(key, frozenset(entry.solutions))
+            assert type(key) is SolutionKey and type(entry) is SolutionSet, key
+            assert (entry.key, entry.solutions) == (checked.key, checked.solutions), key
+            assert all(type(s) is Solution for s in entry), key
+        empties = {id(entry.solutions) for entry in memo.values() if not entry}
+        assert len(empties) == 1
+
     def test_last_block_is_clipped_at_the_limit(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_SOLVE_N", 100)
         memo = MemoStore()
