@@ -18,22 +18,18 @@ Args = dict[str, int]
 def _display_order(solutions: set[Solution]) -> list[Solution]:
     # Group by r descending, then by components descending: the paper's
     # order, in which its recursion lists the shells r = m+1 ... 2.
-    return sorted(
-        solutions, key=lambda s: (s.r, tuple(reversed(s.nonunit))), reverse=True
-    )
+    return sorted(solutions, key=lambda s: (len(s.nonunit), s.nonunit[::-1]), reverse=True)
 
 
 def cmd_solve(args: Args) -> int:
-    solutions = calc_solution(args["N"])
+    order = _display_order(calc_solution(args["N"]))
     if args["--json"]:
-        doc = {
-            "n": args["N"],
-            "solutions": [s.as_dict() for s in _display_order(solutions)],
-        }
-        print(json.dumps(doc))
+        # The text json.dumps writes for {"n": N, "solutions": [as_dict(),
+        # ...]}: a list of ints reads the same in repr as in JSON.
+        members = ", ".join(['{"nonunit": %s, "units": %d}' % (list(x), u) for x, u in order])
+        print('{"n": %d, "solutions": [%s]}' % (args["N"], members))
     else:
-        for s in _display_order(solutions):
-            print(s.as_text())
+        print("\n".join([s.as_text() for s in order]))
     return 0
 
 

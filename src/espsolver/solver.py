@@ -18,10 +18,12 @@ for the same last-level steps:
     10^4                 492 -> 305                          2 310
     10^6              14 591 -> 11 743                     193 371
 
-A solve takes about 0.05 ms at n = 700, 0.4 ms at 10^4, 20 ms at 10^6,
+A solve takes about 0.04 ms at n = 700, 0.4 ms at 10^4, 20 ms at 10^6,
 0.17 s at 10^7 and 1.4 s at 10^8 (one core of a 2-vCPU host, Python
 3.11), a little under linear in n at large n, so `calc_solution` accepts
-n up to MAX_SOLVE_N.
+n up to MAX_SOLVE_N.  A whole `esp solve 700 --json` in-process takes
+about 0.06 ms: ordering the 11 members and writing them out add about
+half the walk's time (README, "Startup").
 
 With a memo, `calc_solution` fills it a block at a time: `_solve_block`
 is the same walk bounded by hi instead of by one n, and builds every
@@ -243,6 +245,7 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
         raise DomainError(f"need n <= {MAX_SCAN_HI} and first >= 2, got ({n}, {first})")
     last = min(last, n.bit_length())
     found: list[Solution] = []
+    new = tuple.__new__  # a Solution without the Python-level __new__ of a namedtuple
 
     def visit(prefix: tuple[int, ...], p: int, s: int, lo: int, r: int) -> bool:
         # the prefix has r - 2 components, p their product and s their sum
@@ -259,7 +262,7 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
             for d in steps:
                 if not m % d:
                     x = (d + 1) // p
-                    found.append(Solution(prefix + (x, (num + x) // d), n - r))
+                    found.append(new(Solution, (prefix + (x, (num + x) // d), n - r)))
                     if len(found) == limit:
                         return True
         if child <= last:

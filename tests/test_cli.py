@@ -51,6 +51,20 @@ class TestSolve:
         parsed = {Solution.from_dict(d) for d in doc["solutions"]}
         assert parsed == calc_solution(n)
 
+    @pytest.mark.parametrize("ns", [range(2, 2001), [10**4, 720720, 10**6]], ids=["2-2000", "large"])
+    def test_output_is_byte_exact(self, capsys, ns):
+        # the text and the json.dumps document of the members in the paper's
+        # order, r descending and then components descending
+        for n in ns:
+            order = sorted(
+                calc_solution(n), key=lambda s: (s.r, tuple(reversed(s.nonunit))), reverse=True
+            )
+            main(["solve", str(n), "--json"])
+            doc = {"n": n, "solutions": [s.as_dict() for s in order]}
+            assert capsys.readouterr().out == json.dumps(doc) + "\n", n
+            main(["solve", str(n)])
+            assert capsys.readouterr().out == "\n".join(s.as_text() for s in order) + "\n", n
+
 
 class TestVerify:
     def test_verify_2(self, capsys):

@@ -347,6 +347,37 @@ class TestOneWalkAgainstOneShellWalks:
         assert find_first_nonbasic(n) == next(filter(None, first_members), [None])[0]
 
 
+class TestWalkBuildsSolutions:
+    """The walks build their members without the namedtuple's __new__; each
+    is still a Solution of a tuple of ints and an int."""
+
+    NS = {
+        "2-1300": range(2, 1301),
+        "near-10^6": [720720, *range(10**6 - 3, 10**6 + 4)],
+        "near-10^12": [10**12 - 2, 10**12 - 1, 10**12],
+    }
+
+    @staticmethod
+    def assert_genuine(members):
+        for s in members:
+            assert type(s) is Solution and type(s.units) is int, s
+            assert type(s.nonunit) is tuple and s == Solution(*s), s
+            assert all(type(x) is int for x in s.nonunit), s
+
+    @pytest.mark.parametrize("ns", NS.values(), ids=list(NS))
+    def test_members_are_genuine_solutions(self, ns):
+        for n in ns:
+            top = n.bit_length()
+            if n <= MAX_SOLVE_N:
+                self.assert_genuine(walk_shells(n, 2, top))
+            else:
+                top = 5  # near 10^12 a first hit in shell 6 or above can take seconds
+            for r in range(2, top + 1):
+                self.assert_genuine(walk_shells(n, r, r, limit=1))
+            first = find_first_nonbasic(n)
+            self.assert_genuine([] if first is None else [first])
+
+
 class TestBlockSolve:
     """The block walk, and the memo that `calc_solution` fills from it,
     against one walk per n."""
