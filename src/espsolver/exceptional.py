@@ -48,24 +48,23 @@ Every scan runs one plan:
   read.  Near MAX_SCAN_HI the sieve passes over all the base primes
   however narrow the window: ~35 ms a window, and ~0.1 s to fill the
   cache once.
-- Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it
-  hits, each of which has a proven non-basic solution.  In k, the
-  progressions are rows, a class of k modulo a step from a first k.
-  `_rows` builds them once, dropping each row that clears no live n that
-  the others leave: 1 145 rows at MAX_STEP = 512, in 3-7 ms.  That build
-  is most of a process's first scan: a one-shot `esp scan 2 1000
-  --sg-filter` reports an elapsed of 5.6-8.0 ms, 5.4-6.7 ms of it the
-  first `_rows(MAX_STEP)` and under 0.1 ms `_lookups`.  Every
-  segment applies all of them, in one of two ways.  Most segments slice
-  the 193 of step up to DENSE_STEP = 128 across them, and look up the
-  952 of larger step, one step at a time, for each n that the slices and
-  the filter leave: few n are left, while a slice writes across the
-  whole segment to clear them.  A segment with fewer live k than dense
+- Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it hits,
+  each of which has a proven non-basic solution.  In k, the progressions
+  are rows, a class of k modulo a step from a first k.  `_rows` builds
+  them once, dropping each row that clears no live n that the others
+  leave: 1 145 rows at MAX_STEP = 512.  That build is most of a process's
+  first scan: a one-shot `esp scan 2 1000 --sg-filter` reports an elapsed
+  of 4.7-8.6 ms, and the first `_rows(MAX_STEP)` takes 4.4-7.8 ms on its
+  own.  Every segment applies all of them, in one of two ways.  Most
+  segments slice the 193 of step up to DENSE_STEP = 128 across them, and
+  look up the 952 of larger step, one step at a time, for each n that the
+  slices and the filter leave: few n are left, while a slice writes across
+  the whole segment to clear them.  A segment with fewer live k than dense
   rows, such as a narrow window, looks up each live k in all 1 145 rows
-  instead, the dense ones first (`_lookups`): a lookup costs 0.4-1.1 us a
-  k, and the 193 slices 65-170 us however few k they clear.  MAX_STEP =
-  1024 and 2048 scan [2, 10^8] in ~0.25 s against ~0.35 s, but build 2
-  and 5 times as long.
+  instead, the dense ones first (`_rows`' `every`): a lookup costs
+  0.4-1.1 us a k, and the 193 slices 65-170 us however few k they clear.
+  MAX_STEP = 1024 and 2048 scan [2, 10^8] in ~0.25 s against ~0.35 s, but
+  build 2 and 5 times as long.
 - Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
   SEGMENT k (2^22 values of n), whatever the workers.  They bound the
   memory of a scan: each of its two bytearrays of flags takes ~0.7 MB.  A
@@ -166,15 +165,19 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 
 
 @cache
-def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
+def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]], list[tuple[int, array]]]:
     """The rows that the r >= 3 progressions with step <= max_step make of
-    the n = 6k, cached by that bound.  Rows of step up to DENSE_STEP, sliced
-    over each segment, come as columns of step and first k, sorted by step.
-    The others come as pairs (t, array), one per step t, ascending, for one
-    lookup per k and step: the array, indexed by k mod t, holds the first k
-    of that class's row, or 0, so a row holds k exactly when
-    0 < first[k % t] <= k.  4-byte entries keep the arrays near 124 KB at
-    MAX_STEP.
+    the n = 6k, cached by that bound, in four parts.  `steps`, `firsts`:
+    the rows of step up to DENSE_STEP, as columns sorted by step, that most
+    segments slice.  `sparse`: the others as pairs (t, array), one per step
+    t, ascending (`_by_step`), in which those segments look up each k that
+    the slices leave.  The array, indexed by k mod t, holds the first k of
+    that class's row, or 0, so a row holds k exactly when
+    0 < first[k % t] <= k; 4-byte entries keep the arrays near 124 KB at
+    MAX_STEP.  `every`: every row so laid out, the dense steps first (10 KB
+    more), so that the steps that hold the most k are tried first, then the
+    very arrays of `sparse`: a segment with few live k (`_few_live`) looks
+    each of them up in these alone.
 
     A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
@@ -234,7 +237,8 @@ def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]]]:
             firsts.append(k)
         else:
             sparse.append((step, k))
-    return steps, firsts, _by_step(sparse)
+    sparse = _by_step(sparse)
+    return steps, firsts, sparse, _by_step(zip(steps, firsts)) + sparse
 
 
 def _by_step(rows: Iterable[tuple[int, int]]) -> list[tuple[int, array]]:
@@ -247,16 +251,6 @@ def _by_step(rows: Iterable[tuple[int, int]]) -> list[tuple[int, array]]:
             tables[step] = array("i", [0]) * step
         tables[step][k % step] = k
     return list(tables.items())
-
-
-@cache
-def _lookups(max_step: int) -> list[tuple[int, array]]:
-    """Every row of `_rows(max_step)` laid out for lookups: the dense rows
-    by step, ascending, ahead of the sparse ones, so that the steps that
-    hold the most k are tried first.  The dense arrays take about 10 KB at
-    MAX_STEP."""
-    steps, firsts, sparse = _rows(max_step)
-    return _by_step(zip(steps, firsts)) + sparse
 
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for
@@ -358,16 +352,18 @@ def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[i
     is taken from `germain` before any slice; then the filter picks the flags
     that are read, `germain` or `live`.  The rows of `_rows(MAX_STEP)` clear
     n.  If fewer k are live than there are dense rows (`_few_live`), each
-    live k is looked up in every row; otherwise the dense rows are sliced,
-    and the others looked up for each n left.  Both ways clear the same n."""
+    live k is looked up in every row (`every`); otherwise the dense rows
+    are sliced, and the others (`sparse`) looked up for each n left.  Both
+    ways clear the same n."""
     k0, size = segment
     live, germain = _sieve(k0, size)
     sg_count = germain.count(1)
     flags = germain if use_sg_filter else live
-    steps, firsts, tables = _rows(MAX_STEP)
+    steps, firsts, sparse, every = _rows(MAX_STEP)
     if _few_live(flags, sg_count if use_sg_filter else None, len(steps)):
-        tables = _lookups(MAX_STEP)
+        tables = every
     else:
+        tables = sparse
         for step, k in zip(steps, firsts):
             i = k - k0 if k >= k0 else (k - k0) % step
             if i < size:
@@ -412,7 +408,7 @@ def scan_exceptional(
     k0, end = (max(lo, 6) + 5) // 6, hi // 6 + 1
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
     # forked workers inherit the caches that their segments read
-    _lookups(MAX_STEP)
+    _rows(MAX_STEP)
     _base_primes(isqrt(2 * hi))
     task = partial(_scan_segment, use_sg_filter=use_sg_filter)
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k

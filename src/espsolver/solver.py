@@ -46,7 +46,8 @@ A sweep over consecutive n with one memo thus costs about 1/8 of a walk
 per n at 800 and 1/40 at 10^6; a one-off call pays for its whole block,
 filing included.  Without a memo `calc_solution` keeps the one walk: a
 block of width one is 1.1-1.25x slower, its remainder per x costing more
-than `m % d`.
+than `m % d`.  The walks stay one per bound, n, hi or the step
+(`exceptional._rows`): each shared walk measured cost 4-29 % more.
 
 The walk's last level tries one divisor per step of a range; a range of
 more than MAX_TRIAL steps is replaced by the divisors of m that lie in
@@ -244,6 +245,8 @@ def walk_shells(n: int, first: int, last: int, limit: int = 0) -> list[Solution]
     if n > MAX_SCAN_HI or first < 2:
         raise DomainError(f"need n <= {MAX_SCAN_HI} and first >= 2, got ({n}, {first})")
     last = min(last, n.bit_length())
+    if first > last:
+        return []
     found: list[Solution] = []
     new = tuple.__new__  # a Solution without the Python-level __new__ of a namedtuple
 

@@ -18,7 +18,7 @@ from espsolver.exceptional import (
     scan_exceptional,
 )
 from espsolver.reference import MemoStore, calc_shell, reference_solution
-from espsolver.solver import calc_solution, walk_shells
+from espsolver.solver import BLOCK, _solve_block, calc_solution, walk_shells
 
 KNOWN_EXCEPTIONAL = [2, 3, 4, 6, 24, 114, 174, 444]
 
@@ -178,6 +178,22 @@ class TestIsExceptional:
         for use_sg_filter in (True, False):
             report = scan_exceptional(2, 2000, use_sg_filter)
             assert report.exceptional == KNOWN_EXCEPTIONAL
+
+    def test_scan_against_the_block_walk(self):
+        # An engine that shares no sieve, rows or per-n walk with the scan:
+        # the aligned blocks of `_solve_block`, each n exceptional when its
+        # shells hold the basic solution alone.
+        hi, found = 20_000, []
+        for start in range(0, hi + 1, BLOCK):
+            lo = max(start, 2)
+            shells = _solve_block(lo, min(start + BLOCK - 1, hi))
+            for i in range(len(shells[0])):
+                members = [s for row in shells for s in row[i]]
+                if members == [Solution((2, lo + i), lo + i - 2)]:
+                    found.append(lo + i)
+        assert found == KNOWN_EXCEPTIONAL
+        for use_sg_filter in (True, False):
+            assert scan_exceptional(2, hi, use_sg_filter).exceptional == found
 
 
 class TestScan:
@@ -422,8 +438,8 @@ class TestPlan:
     @staticmethod
     def rows(max_step):
         # every row of `_rows(max_step)` as (step, first k): the sliced ones,
-        # then those read off the lookup arrays
-        steps, firsts, sparse = exceptional._rows(max_step)
+        # then those read off the sparse lookup arrays
+        steps, firsts, sparse, _ = exceptional._rows(max_step)
         looked_up = [(step, first) for step, table in sparse for first in table if first]
         return list(zip(steps, firsts)) + looked_up
 
@@ -468,7 +484,10 @@ class TestPlan:
         assert scan_exceptional(2, 1000).exceptional == KNOWN_EXCEPTIONAL
         assert set(bounds) == {7}
         # (2, 3) gives n = 18 + 30j, (2, 2, 2) n = 12 + 42j and (2, 4) n = 60 + 42j
-        assert rows(7) == (array("q", [5, 7, 7]), array("q", [3, 2, 10]), [])
+        # and, for lookups, the first k of each by step and class k mod step
+        five, seven = array("i", [0, 0, 0, 3, 0]), array("i", [0, 0, 2, 10, 0, 0, 0])
+        columns = array("q", [5, 7, 7]), array("q", [3, 2, 10])
+        assert rows(7) == (*columns, [], [(5, five), (7, seven)])
 
     def test_rows_clear_every_live_k_a_progression_hits(self):
         max_step = exceptional.MAX_STEP
@@ -508,39 +527,42 @@ class TestPlan:
                 if step % t == 0:
                     assert row.get((t, first % t), first + 1) > first, (step, first, t)
 
-    def test_lookup_holds_the_sparse_rows(self):
+    # 131 is the least bound that looks a row up: step 131 alone
+    @pytest.mark.parametrize("bound", [0, 7, 128, 130, 131, 250, 512, 1024])
+    def test_lookup_holds_the_sparse_rows(self, bound):
         # the rows up to DENSE_STEP in the columns, sorted by step; every row
-        # of larger step once, in its class, with its first k
-        max_step, dense = exceptional.MAX_STEP, exceptional.DENSE_STEP
-        steps, firsts, sparse = exceptional._rows(max_step)
-        assert list(steps) == sorted(steps) and steps[-1] <= dense
-        sparse_steps, tables = [step for step, _ in sparse], [table for _, table in sparse]
-        assert sparse_steps == sorted(set(sparse_steps)) and sparse_steps[0] > dense
-        assert [len(table) for table in tables] == sparse_steps
-        rows = [
-            (step, res, first)
-            for step, table in zip(sparse_steps, tables)
-            for res, first in enumerate(table)
-            if first
-        ]
-        assert all(first % step == res for step, res, first in rows)
-        assert (len(sparse_steps), len(rows), sum(sparse_steps)) == (101, 952, 31_799)
-        # a bound at or below DENSE_STEP leaves every row to the slices, and
-        # 131 is the least bound that looks one up
-        for bound in (0, 7, 128, 130):
-            assert exceptional._rows(bound)[2] == []
-        assert [step for step, _ in exceptional._rows(131)[2]] == [131]
-        # the lookups hold the dense rows too, by ascending step, ahead of
-        # the sparse ones: 39 steps, 2 535 entries
-        lookups = exceptional._lookups(max_step)
-        assert lookups[-len(sparse) :] == sparse
-        dense_steps = [step for step, _ in lookups[: -len(sparse)]]
+        # of larger step once, in its class, with its first k; and `every`
+        # row once more, the dense steps first, then the very sparse arrays
+        dense = exceptional.DENSE_STEP
+        steps, firsts, sparse, every = exceptional._rows(bound)
+        assert list(steps) == sorted(steps) and all(step <= dense for step in steps)
+        sparse_steps = [step for step, _ in sparse]
+        assert sparse_steps == sorted(set(sparse_steps))
+        assert all(step > dense for step in sparse_steps)
+        assert [len(table) for _, table in sparse] == sparse_steps
+        assert (sparse_steps == []) == (bound <= 130)
+        assert every == exceptional._by_step(zip(steps, firsts)) + sparse
+        split = len(every) - len(sparse)
+        pairs = zip(every[split:], sparse, strict=True)
+        assert all(mine is table for (_, mine), (_, table) in pairs)
+        dense_steps = [step for step, _ in every[:split]]
         assert dense_steps == sorted(set(steps))
-        assert (len(dense_steps), sum(dense_steps)) == (39, 2_535)
-        looked_up = {
-            (step, first) for step, table in lookups[: -len(sparse)] for first in table if first
-        }
-        assert looked_up == set(zip(steps, firsts))
+        looked_up = [
+            (step, res, first) for step, table in every for res, first in enumerate(table) if first
+        ]
+        assert all(first % step == res for step, res, first in looked_up)
+        columns = list(zip(steps, firsts))
+        sparse_rows = [(step, first) for step, table in sparse for first in table if first]
+        assert len(set(columns + sparse_rows)) == len(columns) + len(sparse_rows)
+        every_rows = sorted((step, first) for step, _, first in looked_up)
+        assert every_rows == sorted(columns + sparse_rows)
+        if bound == 131:
+            assert sparse_steps == [131]
+        if bound == exceptional.MAX_STEP:
+            assert (len(columns), len(sparse_rows), len(looked_up)) == (193, 952, 1145)
+            assert (len(sparse_steps), sum(sparse_steps)) == (101, 31_799)
+            # the dense lookup arrays: 39 steps, 2 535 entries
+            assert (len(dense_steps), sum(dense_steps)) == (39, 2_535)
 
     # 131 is the least bound with a looked-up row: step 131 alone
     @pytest.mark.parametrize("max_step", [7, 128, 131, 250, 512])

@@ -172,6 +172,15 @@ class TestWalkShell:
         assert (720720).bit_length() == 20
         assert walk_shells(720720, 2, 10**6) == walk_shells(720720, 2, 20)
 
+    def test_a_range_below_its_first_shell_is_empty(self):
+        # no shell r has 2 <= r <= last < 2, so not even S_2 is walked; the
+        # domain is still checked first
+        assert walk_shells(10, 2, 1) == []
+        assert walk_shells(10, 2, 0) == []
+        assert walk_shells(10, 2, -5, limit=1) == []
+        with pytest.raises(DomainError):
+            walk_shells(1, 2, 1)
+
     @staticmethod
     def assert_s2_is_the_reference_base_case(n):
         # ascending and distinct, basic solution first, equal to build_s2
