@@ -51,18 +51,21 @@ Every scan runs one plan:
 - Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it hits,
   each of which has a proven non-basic solution.  In k, the progressions
   are rows, a class of k modulo a step from a first k.  `_rows` builds
-  them once, dropping each row that clears no live n that the others
-  leave: 1 145 rows at MAX_STEP = 512.  That build is most of a process's
-  first scan: a one-shot `esp scan 2 1000 --sg-filter` reports an elapsed
-  of 4.7-8.6 ms, and the first `_rows(MAX_STEP)` takes 4.4-7.8 ms on its
-  own.  Every segment applies all of them, in one of two ways.  Most
-  segments slice the 193 of step up to DENSE_STEP = 128 across them, and
-  look up the 952 of larger step, one step at a time, for each n that the
-  slices and the filter leave: few n are left, while a slice writes across
+  them once, into one table per step that holds each class's first k,
+  and drops each row that clears no live n that the others leave:
+  1 145 rows at MAX_STEP = 512.  That build is most of the first scan in
+  a process that has a segment to scan: a one-shot
+  `esp scan 2 1000 --sg-filter` reports an elapsed of 4.7-8.6 ms, and the
+  first `_rows(MAX_STEP)` takes 4.4-7.8 ms on its own; a scan of no
+  n = 6k, such as [7, 11], builds none.  Every segment applies all of
+  them, in one of two ways.  Most segments slice the 193 of step up to
+  DENSE_STEP = 128 across them (`_rows`' `dense`), and look up the 952
+  of larger step, one table at a time, for each n that the slices and the
+  filter leave (`sparse`): few n are left, while a slice writes across
   the whole segment to clear them.  A segment with fewer live k than dense
   rows, such as a narrow window, looks up each live k in all 1 145 rows
-  instead, the dense ones first (`_rows`' `every`): a lookup costs
-  0.4-1.1 us a k, and the 193 slices 65-170 us however few k they clear.
+  instead, the dense ones first (`every`): a lookup costs 0.4-1.1 us a
+  k, and the 193 slices 65-170 us however few k they clear.
   MAX_STEP = 1024 and 2048 scan [2, 10^8] in ~0.25 s against ~0.35 s, but
   build 2 and 5 times as long.
 - Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
@@ -88,7 +91,6 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Iterable
 from functools import cache, partial
 from itertools import compress
 from math import gcd, isqrt
@@ -97,7 +99,7 @@ from .core import DomainError, Solution
 
 # Re-exported only for bench/tracing.py; see the note in `solver`.
 from .reference import MemoStore, calc_shell  # noqa: F401
-from .solver import MAX_SCAN_HI, is_prime, walk_shells
+from .solver import MAX_SCAN_HI, _divisors, is_prime, walk_shells
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
@@ -165,25 +167,30 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 
 
 @cache
-def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]], list[tuple[int, array]]]:
+def _rows(
+    max_step: int,
+) -> tuple[list[tuple[int, int]], list[tuple[int, array]], list[tuple[int, array]]]:
     """The rows that the r >= 3 progressions with step <= max_step make of
-    the n = 6k, cached by that bound, in four parts.  `steps`, `firsts`:
-    the rows of step up to DENSE_STEP, as columns sorted by step, that most
-    segments slice.  `sparse`: the others as pairs (t, array), one per step
-    t, ascending (`_by_step`), in which those segments look up each k that
-    the slices leave.  The array, indexed by k mod t, holds the first k of
-    that class's row, or 0, so a row holds k exactly when
-    0 < first[k % t] <= k; 4-byte entries keep the arrays near 124 KB at
-    MAX_STEP.  `every`: every row so laid out, the dense steps first (10 KB
-    more), so that the steps that hold the most k are tried first, then the
-    very arrays of `sparse`: a segment with few live k (`_few_live`) looks
-    each of them up in these alone.
+    the n = 6k, cached by that bound.  The walk files each row straight
+    into the table of its step t: an array, indexed by k mod t, that holds
+    the first k of that class's row, or 0, so a row holds k exactly when
+    0 < table[k % t] <= k; 4-byte entries keep the tables near 134 KB at
+    MAX_STEP.  Three parts are read off those tables:
+
+    - `every`: a pair (t, table) for each step that keeps a row, ascending,
+      so that the steps that hold the most k are tried first.  A segment
+      with few live k (`_few_live`) looks each of them up in these alone;
+    - `sparse`: the tail of `every` of step above DENSE_STEP, the very same
+      arrays, in which the other segments look up each k the slices leave;
+    - `dense`: the rows of step up to DENSE_STEP as pairs (step, first k),
+      by step and then by class, which those segments slice.
 
     A progression n0, n0 + d, ... hits n = 6k exactly for the k >= n0/6 in
     one class modulo d / gcd(d, 6), or for no k.  Progressions that share
     that step and class are merged into one row, the class's k from the
     first that any of them hits.  Two kinds of row are dropped, since
-    neither clears a live n that the kept rows leave:
+    neither clears a live n that the kept rows leave; both are decided
+    against the rows as merged, before any is cleared:
 
     - a row that holds no live k: if 1 < g < 6f-1 for f its first k and
       g = gcd(6f-1, step), then g divides 6k-1 for every k of the row, and
@@ -194,9 +201,8 @@ def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]], list[tu
       for holding no live k or for lying inside a row of a still smaller
       step, so the live k of the row stay covered.
     """
-    # first k by step and class, packed in one int: half the peak memory of
-    # a tuple key
-    first: dict[int, int] = {}
+    tables: list[array | None] = [None] * (max_step + 1)  # by step
+    filled: list[tuple[int, int]] = []  # (step, class) as the walk first fills it
 
     def extend(p: int, s: int, r: int, lo: int) -> None:
         # p, s: product and sum of an ascending prefix of r - 2 >= 1 components
@@ -210,47 +216,39 @@ def _rows(max_step: int) -> tuple[array, array, list[tuple[int, array]], list[tu
                 res = n0 // g * pow(6 // g, -1, step) % step
                 k = -(-n0 // 6)
                 k += (res - k) % step
-                key = step << 32 | res
-                first[key] = min(first.get(key, k), k)
+                table = tables[step]
+                if table is None:
+                    table = tables[step] = array("i", [0]) * step
+                if not table[res]:
+                    filled.append((step, res))
+                    table[res] = k
+                elif k < table[res]:
+                    table[res] = k
             if p * x * x - 1 <= max_step:
                 extend(p * x, s + x, r + 1, x)
             x += 1
 
     for x in range(2, isqrt(max_step + 1) + 1):
         extend(x, x, 3, x)
-    del extend  # its closure refers to it and holds `first`: free them with the frame
-    # the proper divisors of each step that are steps of some row
-    divisors: list[list[int]] = [[] for _ in range(max_step + 1)]
-    for t in {key >> 32 for key in first}:
-        for m in range(2 * t, max_step + 1, t):
-            divisors[m].append(t)
-    steps, firsts = array("q"), array("q")
-    sparse = []
-    for key in sorted(first):
-        step, k = key >> 32, first[key]
-        if 1 < gcd(6 * k - 1, step) < 6 * k - 1:
-            continue  # no live k
-        if any(first.get(t << 32 | k % t, k + 1) <= k for t in divisors[step]):
-            continue  # inside the row of a proper divisor of its step
-        if step <= DENSE_STEP:
-            steps.append(step)
-            firsts.append(k)
-        else:
-            sparse.append((step, k))
-    sparse = _by_step(sparse)
-    return steps, firsts, sparse, _by_step(zip(steps, firsts)) + sparse
-
-
-def _by_step(rows: Iterable[tuple[int, int]]) -> list[tuple[int, array]]:
-    """Rows (step, first k) as pairs (t, array), one per step t, in the
-    order the rows come: the array, indexed by k mod t, holds the first k
-    of that class's row, or 0."""
-    tables: dict[int, array] = {}
-    for step, k in rows:
-        if step not in tables:
-            tables[step] = array("i", [0]) * step
-        tables[step][k % step] = k
-    return list(tables.items())
+    del extend  # its closure refers to it and holds the tables: free them with the frame
+    # the tables of the proper divisors of each step that are steps too
+    inner = {
+        t: [(m, tables[m]) for m in _divisors(t, 1, t - 1, 1) if tables[m]]
+        for t, table in enumerate(tables)
+        if table
+    }
+    # decided against the rows as merged: no live k, or inside a row of smaller step
+    dropped = [
+        (step, res)
+        for step, res in filled
+        if 1 < gcd(6 * (k := tables[step][res]) - 1, step) < 6 * k - 1
+        or inner[step] and any(0 < table[k % t] <= k for t, table in inner[step])
+    ]
+    for step, res in dropped:
+        tables[step][res] = 0
+    every = [(t, tables[t]) for t in sorted({step for step, res in filled if tables[step][res]})]
+    dense = [(t, k) for t, table in every if t <= DENSE_STEP for k in table if k]
+    return dense, [(t, table) for t, table in every if t > DENSE_STEP], every
 
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for
@@ -359,12 +357,12 @@ def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[i
     live, germain = _sieve(k0, size)
     sg_count = germain.count(1)
     flags = germain if use_sg_filter else live
-    steps, firsts, sparse, every = _rows(MAX_STEP)
-    if _few_live(flags, sg_count if use_sg_filter else None, len(steps)):
+    dense, sparse, every = _rows(MAX_STEP)
+    if _few_live(flags, sg_count if use_sg_filter else None, len(dense)):
         tables = every
     else:
         tables = sparse
-        for step, k in zip(steps, firsts):
+        for step, k in dense:
             i = k - k0 if k >= k0 else (k - k0) % step
             if i < size:
                 flags[i::step] = bytearray((size - 1 - i) // step + 1)
@@ -407,8 +405,7 @@ def scan_exceptional(
     # the k-window: the n = 6k in [max(lo, 6), hi]
     k0, end = (max(lo, 6) + 5) // 6, hi // 6 + 1
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
-    # forked workers inherit the caches that their segments read
-    _rows(MAX_STEP)
+    # the base primes, sized once for the whole range; forked workers inherit them
     _base_primes(isqrt(2 * hi))
     task = partial(_scan_segment, use_sg_filter=use_sg_filter)
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
@@ -420,6 +417,7 @@ def scan_exceptional(
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        _rows(MAX_STEP)  # built before the fork, so that the workers inherit them
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts += pool.map(task, segments)
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from array import array
 from math import gcd, isqrt
@@ -439,9 +440,9 @@ class TestPlan:
     def rows(max_step):
         # every row of `_rows(max_step)` as (step, first k): the sliced ones,
         # then those read off the sparse lookup arrays
-        steps, firsts, sparse, _ = exceptional._rows(max_step)
+        dense, sparse, _ = exceptional._rows(max_step)
         looked_up = [(step, first) for step, table in sparse for first in table if first]
-        return list(zip(steps, firsts)) + looked_up
+        return dense + looked_up
 
     @settings(
         max_examples=30,
@@ -486,11 +487,27 @@ class TestPlan:
         # (2, 3) gives n = 18 + 30j, (2, 2, 2) n = 12 + 42j and (2, 4) n = 60 + 42j
         # and, for lookups, the first k of each by step and class k mod step
         five, seven = array("i", [0, 0, 0, 3, 0]), array("i", [0, 0, 2, 10, 0, 0, 0])
-        columns = array("q", [5, 7, 7]), array("q", [3, 2, 10])
-        assert rows(7) == (*columns, [], [(5, five), (7, seven)])
+        assert rows(7) == ([(5, 3), (7, 2), (7, 10)], [], [(5, five), (7, seven)])
 
-    def test_rows_clear_every_live_k_a_progression_hits(self):
-        max_step = exceptional.MAX_STEP
+    @pytest.mark.parametrize("use_sg_filter", [True, False])
+    def test_a_scan_of_no_6k_builds_no_rows(self, monkeypatch, use_sg_filter):
+        # [7, 11] holds no n = 6k, and [2, 5] only n = 2, 3, 4, which are
+        # decided apart from the rows
+        bounds = []
+        monkeypatch.setattr(exceptional, "_rows", bounds.append)
+        for lo, hi, expected in [(7, 11, ([], 0, 0)), (2, 5, ([2, 3, 4], 3, 3))]:
+            report = scan_exceptional(lo, hi, use_sg_filter)
+            assert (report.exceptional, report.sg_candidates, report.walked) == expected
+        assert bounds == []
+
+    @pytest.mark.parametrize("max_step", [131, 512, 1024])
+    def test_rows_clear_every_live_k_a_progression_hits(self, max_step):
+        # the progressions, the rows, the dense rows and the largest first k
+        progression_count, row_count, dense_count, last_first = {
+            131: (384, 187, 177, 1_452),
+            512: (2_574, 1_145, 193, 21_675),
+            1024: (6_555, 2_726, 193, 87_721),
+        }[max_step]
         # every (prefix, x) with r >= 3 and d = p*x - 1 <= max_step, as (d, n0)
         progressions = []
 
@@ -502,13 +519,13 @@ class TestPlan:
 
         for c in range(2, max_step + 2):
             grow((c,), c)
-        assert len(progressions) == 2574
+        assert len(progressions) == progression_count
         steps, firsts = zip(*self.rows(max_step))
-        assert len(steps) == 1145
-        assert len(exceptional._rows(max_step)[0]) == 193
-        # the rows' starts all lie in the first window
-        assert max(firsts) <= 25_000
-        for k0, size in [(1, 25_000), (10**9, 300)]:
+        assert len(steps) == row_count
+        assert len(exceptional._rows(max_step)[0]) == dense_count
+        # the first window reaches past the last row's start
+        assert max(firsts) == last_first
+        for k0, size in [(1, last_first + 1_000), (10**9, 300)]:
             # hit_n[i]: some progression holds n = 6*k0 + i; hit_k[i]: some row holds k0 + i
             hit_n, hit_k = bytearray(6 * size), bytearray(size)
             for d, n0 in progressions:
@@ -527,21 +544,39 @@ class TestPlan:
                 if step % t == 0:
                     assert row.get((t, first % t), first + 1) > first, (step, first, t)
 
+    # sha256 of the three parts, the tables as lists: pins every row, its
+    # place and the order of the parts, up to a bound no scan uses today
+    @pytest.mark.parametrize("bound", [512, 1024, 2048])
+    def test_rows_match_their_pinned_digest(self, bound):
+        digest = {
+            512: "9e3c0b7fcb811c1672654ecc0de2f886b6c712bab244835babd29b550e011ca7",
+            1024: "5c6fef8048db560db7e6a1cd6326a047a8cb75a60868a5de4f333e559cb58106",
+            2048: "5f5223d94b4500950562d8fe0bcf2ae0dbed2f6d53ad87557513a4a4a02e3be5",
+        }[bound]
+        dense, sparse, every = exceptional._rows.__wrapped__(bound)  # not kept in the cache
+        tables = [[(t, table.tolist()) for t, table in part] for part in (sparse, every)]
+        assert hashlib.sha256(repr((dense, *tables)).encode()).hexdigest() == digest
+        tail = every[len(every) - len(sparse) :]
+        assert all(mine is table for (_, mine), (_, table) in zip(tail, sparse, strict=True))
+
     # 131 is the least bound that looks a row up: step 131 alone
     @pytest.mark.parametrize("bound", [0, 7, 128, 130, 131, 250, 512, 1024])
     def test_lookup_holds_the_sparse_rows(self, bound):
-        # the rows up to DENSE_STEP in the columns, sorted by step; every row
-        # of larger step once, in its class, with its first k; and `every`
-        # row once more, the dense steps first, then the very sparse arrays
-        dense = exceptional.DENSE_STEP
-        steps, firsts, sparse, every = exceptional._rows(bound)
-        assert list(steps) == sorted(steps) and all(step <= dense for step in steps)
+        # the rows up to DENSE_STEP as pairs, by step and then by class;
+        # every row of larger step once, in its class, with its first k; and
+        # `every` row once more, the dense steps first, then the very sparse
+        # arrays
+        dense_step = exceptional.DENSE_STEP
+        dense, sparse, every = exceptional._rows(bound)
+        steps = [step for step, _ in dense]
+        assert dense == sorted(dense, key=lambda row: (row[0], row[1] % row[0]))
+        assert all(step <= dense_step for step in steps)
         sparse_steps = [step for step, _ in sparse]
         assert sparse_steps == sorted(set(sparse_steps))
-        assert all(step > dense for step in sparse_steps)
+        assert all(step > dense_step for step in sparse_steps)
         assert [len(table) for _, table in sparse] == sparse_steps
         assert (sparse_steps == []) == (bound <= 130)
-        assert every == exceptional._by_step(zip(steps, firsts)) + sparse
+        assert [len(table) for _, table in every] == [step for step, _ in every]
         split = len(every) - len(sparse)
         pairs = zip(every[split:], sparse, strict=True)
         assert all(mine is table for (_, mine), (_, table) in pairs)
@@ -551,15 +586,14 @@ class TestPlan:
             (step, res, first) for step, table in every for res, first in enumerate(table) if first
         ]
         assert all(first % step == res for step, res, first in looked_up)
-        columns = list(zip(steps, firsts))
         sparse_rows = [(step, first) for step, table in sparse for first in table if first]
-        assert len(set(columns + sparse_rows)) == len(columns) + len(sparse_rows)
+        assert len(set(dense + sparse_rows)) == len(dense) + len(sparse_rows)
         every_rows = sorted((step, first) for step, _, first in looked_up)
-        assert every_rows == sorted(columns + sparse_rows)
+        assert every_rows == sorted(dense + sparse_rows)
         if bound == 131:
             assert sparse_steps == [131]
         if bound == exceptional.MAX_STEP:
-            assert (len(columns), len(sparse_rows), len(looked_up)) == (193, 952, 1145)
+            assert (len(dense), len(sparse_rows), len(looked_up)) == (193, 952, 1145)
             assert (len(sparse_steps), sum(sparse_steps)) == (101, 31_799)
             # the dense lookup arrays: 39 steps, 2 535 entries
             assert (len(dense_steps), sum(dense_steps)) == (39, 2_535)
