@@ -46,28 +46,23 @@ Every scan runs one plan:
   over a copy of `live`.  The Sophie Germain count is read off `germain`;
   the filter only chooses which of the two the progressions and the walk
   read.  Near MAX_SCAN_HI the sieve passes over all the base primes
-  however narrow the window: ~35 ms a window, and ~0.1 s to fill the
-  cache once.
+  however narrow the window.
 - Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it hits,
   each of which has a proven non-basic solution.  In k, the progressions
   are rows, a class of k modulo a step from a first k.  `_rows` builds
   them once, into one table per step that holds each class's first k,
   and drops each row that clears no live n that the others leave:
   1 145 rows at MAX_STEP = 512.  That build is most of the first scan in
-  a process that has a segment to scan: a one-shot
-  `esp scan 2 1000 --sg-filter` reports an elapsed of 4.7-8.6 ms, and the
-  first `_rows(MAX_STEP)` takes 4.4-7.8 ms on its own; a scan of no
-  n = 6k, such as [7, 11], builds none.  Every segment applies all of
-  them, in one of two ways.  Most segments slice the 193 of step up to
-  DENSE_STEP = 128 across them (`_rows`' `dense`), and look up the 952
-  of larger step, one table at a time, for each n that the slices and the
-  filter leave (`sparse`): few n are left, while a slice writes across
-  the whole segment to clear them.  A segment with fewer live k than dense
-  rows, such as a narrow window, looks up each live k in all 1 145 rows
-  instead, the dense ones first (`every`): a lookup costs 0.4-1.1 us a
-  k, and the 193 slices 65-170 us however few k they clear.
-  MAX_STEP = 1024 and 2048 scan [2, 10^8] in ~0.25 s against ~0.35 s, but
-  build 2 and 5 times as long.
+  a process that has a segment to scan; a scan of no n = 6k, such as
+  [7, 11], builds none.  Every segment applies all of them, in one of
+  two ways.  A segment of at most 64 k a dense row that holds fewer live
+  k than the 193 dense rows, such as a narrow window, looks up each live
+  k in all 1 145 rows, the dense ones first (`every`): so few lookups
+  cost less than the slices (`_few_live`).  Any other segment slices the
+  193 rows of step up to DENSE_STEP = 128 across it (`_rows`' `dense`),
+  and looks up the 952 of larger step, one table at a time, for each n
+  that the slices and the filter leave (`sparse`): few n are left, while
+  a slice writes across the whole segment to clear them.
 - Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
   SEGMENT k (2^22 values of n), whatever the workers.  They bound the
   memory of a scan: each of its two bytearrays of flags takes ~0.7 MB.  A
@@ -79,9 +74,8 @@ non-basic solution that the solver's product-bounded walk
 answer does not depend on the plan; `walked`, the count of n left to the
 walk, depends on MAX_STEP and the filter only.  `is_exceptional` checks
 one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
-limit.  On one core (Python 3.11), [2, 10^8] takes ~0.3-0.4 s and
-[2, 10^7] ~0.03-0.05 s; near MAX_SCAN_HI, a 3000-wide window takes
-~25 ms, and a 10^6-wide one ~0.05 s once the base primes are cached.
+limit.  What a scan costs, and what a larger MAX_STEP would, is measured
+in README ("Limits and cost", "CLI").
 """
 
 from __future__ import annotations
@@ -99,7 +93,7 @@ from .core import DomainError, Solution
 
 # Re-exported only for bench/tracing.py; see the note in `solver`.
 from .reference import MemoStore, calc_shell  # noqa: F401
-from .solver import MAX_SCAN_HI, _divisors, is_prime, walk_shells
+from .solver import MAX_SCAN_HI, is_prime, walk_shells
 
 # Progressions of n with a larger step are left to the per-n walk.
 MAX_STEP = 512
@@ -231,18 +225,18 @@ def _rows(
     for x in range(2, isqrt(max_step + 1) + 1):
         extend(x, x, 3, x)
     del extend  # its closure refers to it and holds the tables: free them with the frame
-    # the tables of the proper divisors of each step that are steps too
-    inner = {
-        t: [(m, tables[m]) for m in _divisors(t, 1, t - 1, 1) if tables[m]]
-        for t, table in enumerate(tables)
-        if table
-    }
+    # by step, the tables of its proper divisors that are steps too
+    inner: list[list[tuple[int, array]]] = [[] for _ in tables]
+    for t, table in enumerate(tables):
+        if table:
+            for m in range(2 * t, max_step + 1, t):
+                inner[m].append((t, table))
     # decided against the rows as merged: no live k, or inside a row of smaller step
     dropped = [
         (step, res)
         for step, res in filled
         if 1 < gcd(6 * (k := tables[step][res]) - 1, step) < 6 * k - 1
-        or inner[step] and any(0 < table[k % t] <= k for t, table in inner[step])
+        or any(0 < table[k % t] <= k for t, table in inner[step])
     ]
     for step, res in dropped:
         tables[step][res] = 0
@@ -329,19 +323,16 @@ def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
     return live, _form(12, k0, qs, r12, bytearray(live))
 
 
-def _few_live(flags: bytearray, count: int | None, rows: int) -> bool:
-    """True when fewer k are live in `flags` than there are dense rows,
-    `rows`: then looking each live k up in every row (0.4-1.1 us a k)
-    costs less than slicing the dense rows across the segment (65-170 us
-    on a narrow one).  `count` is the live count if already taken, else
-    None.  Only a segment of at most 64 k a row is counted: 6k-1 is prime
-    for more than 1 k in 10 below MAX_SCAN_HI, so a wider one holds more
-    than 1 000 live k, and counting a full segment costs 0.4-0.7 ms."""
-    if count is None:
-        if len(flags) > 64 * rows:
-            return False
-        count = flags.count(1)
-    return count < rows
+def _few_live(flags: bytearray, rows: int) -> bool:
+    """True when `flags` spans at most 64 k a dense row and holds fewer live
+    k than there are dense rows, `rows`: then looking each live k up in
+    every row (0.4-1.1 us a k) costs less than slicing the dense rows
+    across the segment (65-170 us on a narrow one).  A wider segment is
+    sliced uncounted.  6k-1 is prime for more than 1 k in 10 below
+    MAX_SCAN_HI, so unfiltered it holds more than 1 000 live k, and
+    counting a full segment costs 0.4-0.7 ms; filtered, the two ways cost
+    about the same there (README, the table of the two ways)."""
+    return len(flags) <= 64 * rows and flags.count(1) < rows
 
 
 def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[int], int, int]:
@@ -349,16 +340,16 @@ def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[i
     n, the Sophie Germain count, and how many n the walk decided.  The count
     is taken from `germain` before any slice; then the filter picks the flags
     that are read, `germain` or `live`.  The rows of `_rows(MAX_STEP)` clear
-    n.  If fewer k are live than there are dense rows (`_few_live`), each
-    live k is looked up in every row (`every`); otherwise the dense rows
-    are sliced, and the others (`sparse`) looked up for each n left.  Both
-    ways clear the same n."""
+    n.  If the segment is narrow and holds fewer live k than there are
+    dense rows (`_few_live`), each live k is looked up in every row
+    (`every`); otherwise the dense rows are sliced, and the others
+    (`sparse`) looked up for each n left.  Both ways clear the same n."""
     k0, size = segment
     live, germain = _sieve(k0, size)
     sg_count = germain.count(1)
     flags = germain if use_sg_filter else live
     dense, sparse, every = _rows(MAX_STEP)
-    if _few_live(flags, sg_count if use_sg_filter else None, len(dense)):
+    if _few_live(flags, len(dense)):
         tables = every
     else:
         tables = sparse

@@ -55,16 +55,22 @@ it, from a factorization (trial division by the primes up to 37, then
 `is_prime` and Pollard's rho with Floyd's cycle search).  Full solves up
 to MAX_SOLVE_N rarely meet such a range.  The first-hit walks of a scan
 near 10^12 do: there a survivor's walk fell from ~0.1 s to under 1 ms.
-With the factoring turned off (MAX_TRIAL out of reach), every scan
-measured slowed, with the same answers (in-process, one core of a 2-vCPU
-host, Python 3.11; walks and factored levels with it on):
+With the factoring turned off (MAX_TRIAL out of reach), the long scans
+slowed, with the same answers (in-process, base primes and rows built,
+one core of a shared 2-vCPU host, Python 3.11; walks and factored levels
+with it on):
 
-- [2, 10^9], filtered: 7.4-7.7 s -> 13.7-13.8 s (1 447 walks, 10 935
+- [2, 10^9], filtered: 2.44-2.82 s -> 5.43-5.82 s (1 447 walks, 10 935
   factored levels);
-- [10^12 - 10^6, 10^12]: 73 -> 128-130 ms filtered (1 walk, 2 levels),
-  73-74 -> 157-171 ms unfiltered (4 walks, 5 levels);
-- 40 unfiltered 3000-wide windows in [2.5*10^7, 3.5*10^7]: 29-32 ->
-  32-37 ms (13 walks, 34 levels).
+- [10^12 - 10^6, 10^12]: 26-32 -> 58-61 ms filtered (1 walk, 2 levels),
+  27-30 -> 79-88 ms unfiltered (4 walks, 5 levels).
+
+The benchmark's workloads barely reach a factored level, so they do not
+bear on MAX_TRIAL: `solve` and `tabulate` never do, and `scan` walks only
+the 8 exceptional values.  One pass of `scan-window`'s 40 unfiltered
+3000-wide windows walks 0-1 n (seeds 1-5) and factors 0, 0, 1, 17 and 0
+levels.  Only seed 4's pass slowed with the factoring off, from
+8.7-9.0 to 9.5-10.0 ms, so MAX_TRIAL's case rests on the scans above.
 
 The paper's memoized recursion, which the walk is tested against, lives
 in `reference`; nothing here calls it.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from espsolver import exceptional
+from espsolver import exceptional, solver
 from espsolver.core import DomainError, Solution, is_basic, validate
 from espsolver.exceptional import (
     MAX_SCAN_HI,
@@ -559,6 +559,20 @@ class TestPlan:
         tail = every[len(every) - len(sparse) :]
         assert all(mine is table for (_, mine), (_, table) in zip(tail, sparse, strict=True))
 
+    def test_rows_build_without_factoring(self, monkeypatch):
+        # the inner rows come from the multiples of each step, not from the
+        # solver's factoring of each step
+        calls = []
+
+        def recorder(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_prime_factors", "_divisors"):
+            monkeypatch.setattr(solver, name, recorder(name, getattr(solver, name)))
+        for bound in (512, 1024):
+            exceptional._rows.__wrapped__(bound)  # built fresh, not from the cache
+        assert calls == []
+
     # 131 is the least bound that looks a row up: step 131 alone
     @pytest.mark.parametrize("bound", [0, 7, 128, 130, 131, 250, 512, 1024])
     def test_lookup_holds_the_sparse_rows(self, bound):
@@ -633,16 +647,17 @@ class TestPlan:
 
     # Filtered, then unfiltered.  The 501 k of a 3000-wide window at 3*10^7
     # hold 14 Sophie Germain k and 89 live k, fewer than the 193 dense rows.
-    # [2, 10^5] holds 1 169 of the first, and its 16 666 k are too many to
-    # count the second; a full segment at 10^12 holds 7 262 and 76 085; the
-    # 16 667 k of [10^12 - 10^5, 10^12] hold 149 and, uncounted, 1 802.
+    # The other windows span more than 64 k a dense row, 12 352 k, and are
+    # sliced uncounted: the 16 666 k of [2, 10^5], a full segment at 10^12,
+    # and the 16 667 k of [10^12 - 10^5, 10^12], although these hold only
+    # 149 Sophie Germain k.
     @pytest.mark.parametrize(
         "lo,hi,looked_up",
         [
             (30_000_000, 30_003_000, [True, True]),
             (2, 10**5, [False, False]),
             (MAX_SCAN_HI - 6 * exceptional.SEGMENT + 1, MAX_SCAN_HI, [False, False]),
-            (MAX_SCAN_HI - 10**5, MAX_SCAN_HI, [True, False]),
+            (MAX_SCAN_HI - 10**5, MAX_SCAN_HI, [False, False]),
         ],
     )
     def test_which_segments_look_up_the_dense_rows(self, monkeypatch, lo, hi, looked_up):
