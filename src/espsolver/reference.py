@@ -7,12 +7,14 @@ with non-unit sum t extends to an r-component solution exactly when
 (n - r - j) is divisible by (t + j), the new component being
 w = 1 + (n-r-j)/(t+j). Computed sets, empty or not, are cached in a
 MemoStore, a dict keyed by (n, r), so shared subproblems are built once.
-Its cost grows like n^2.3 (0.3 s at n = 700, minutes at n = 10^4).
+Its cost grows like n^2.3 (README, "The memo and the paper's BST", has
+its time at n = 700).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from math import isqrt
 
 from .core import DomainError, InvalidSolutionError, Solution
@@ -31,27 +33,26 @@ _EMPTY: frozenset[Solution] = frozenset()
 class SolutionSet:
     """The (possibly empty) set of solutions for one (n, r) key.
 
-    MemoStore files it under its key; it compares by identity.
+    Takes its members as any iterable.  An empty one is stored as the one
+    shared empty frozenset; otherwise each member is checked against the
+    key, and a frozenset is kept as given.  MemoStore files it under its
+    key; it compares by identity.
     """
 
     __slots__ = ("key", "solutions")
 
-    def __init__(self, key: SolutionKey, solutions: frozenset[Solution]):
-        r, units = key.r, key.n - key.r
-        for s in solutions:
-            if len(s.nonunit) != r or s.units != units:
-                raise InvalidSolutionError(f"solution {s} does not belong to key {key}")
+    def __init__(self, key: SolutionKey, solutions: Iterable[Solution]):
+        if solutions and type(solutions) is not frozenset:
+            solutions = frozenset(solutions)
+        if solutions:
+            r, units = key.r, key.n - key.r
+            for s in solutions:
+                if len(s.nonunit) != r or s.units != units:
+                    raise InvalidSolutionError(f"solution {s} does not belong to key {key}")
+        else:
+            solutions = _EMPTY
         self.key = key
         self.solutions = solutions
-
-    @classmethod
-    def empty(cls, key: SolutionKey) -> SolutionSet:
-        """The empty set for `key`: no member to check, and every one shares
-        one frozenset."""
-        entry = object.__new__(cls)
-        entry.key = key
-        entry.solutions = _EMPTY
-        return entry
 
     def __repr__(self) -> str:
         return f"SolutionSet(key={self.key!r}, solutions={self.solutions!r})"
@@ -149,7 +150,7 @@ def calc_shell(k: int, r: int, memo: MemoStore, *, j_descending: bool = False) -
             extended = extend_candidate(base, j, k, r)
             if extended is not None:
                 found.add(extended)
-    result = memo[key] = SolutionSet(key, frozenset(found))
+    result = memo[key] = SolutionSet(key, found)
     return result
 
 

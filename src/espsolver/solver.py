@@ -18,12 +18,9 @@ for the same last-level steps:
     10^4                 492 -> 305                          2 310
     10^6              14 591 -> 11 743                     193 371
 
-A solve takes about 0.04 ms at n = 700, 0.4 ms at 10^4, 20 ms at 10^6,
-0.17 s at 10^7 and 1.4 s at 10^8 (one core of a 2-vCPU host, Python
-3.11), a little under linear in n at large n, so `calc_solution` accepts
-n up to MAX_SOLVE_N.  A whole `esp solve 700 --json` in-process takes
-about 0.06 ms: ordering the 11 members and writing them out add about
-half the walk's time (README, "Startup").
+A solve's cost grows a little under linear in n at large n, so
+`calc_solution` accepts n up to MAX_SOLVE_N (README, "Limits and cost",
+has the times).
 
 With a memo, `calc_solution` fills it a block at a time: `_solve_block`
 is the same walk bounded by hi instead of by one n, and builds every
@@ -32,22 +29,14 @@ for.  Under a prefix of r - 2 components (product p, sum s) the members
 with last components x <= y lie at n = d*y - s - x + r, d = p*x - 1: one
 remainder per x finds the least such n >= lo, and each member after it
 costs O(1).  The x range is that of one walk bounded by hi, so a block
-costs little more than one walk at large n, and its members at small n
-(least of the best-of-4-to-300 times of four runs, same host; ratios
-within one run):
-
-    n       one walk   64-wide block   one-off call with a memo
-    800      0.04 ms     0.31 ms (6-8x)      0.74 ms (18-20x)
-    10^4     0.32 ms      1.1 ms (3-3.4x)     1.9 ms (5.5-6.6x)
-    10^6       18 ms       29 ms (1.4-1.7x)    31 ms (1.4-2.3x)
-    10^7     0.16 s      0.22 s (1.3-1.6x)   0.24 s (1.1-1.7x)
-
-A sweep over consecutive n with one memo thus costs about 1/8 of a walk
-per n at 800 and 1/40 at 10^6; a one-off call pays for its whole block,
-filing included.  Without a memo `calc_solution` keeps the one walk: a
-block of width one is 1.1-1.25x slower, its remainder per x costing more
-than `m % d`.  The walks stay one per bound, n, hi or the step
-(`exceptional._rows`): each shared walk measured cost 4-29 % more.
+costs little more than one walk at large n, and mostly its members at
+small n.  A sweep over consecutive n with one memo thus pays a fraction
+of a walk per n, while a one-off call pays for its whole block, filing
+included (README, "Limits and cost").  Without a memo `calc_solution`
+keeps the one walk: a block of width one is 1.1-1.25x slower, its
+remainder per x costing more than `m % d`.  The walks stay one per bound,
+n, hi or the step (`exceptional._rows`): each shared walk measured cost
+4-29 % more.
 
 The walk's last level tries one divisor per step of a range; a range of
 more than MAX_TRIAL steps is replaced by the divisors of m that lie in
@@ -88,7 +77,8 @@ from .core import DomainError, Solution
 from .reference import MemoStore, build_s2, calc_shell, reference_solution  # noqa: F401
 from .reference import SolutionKey, SolutionSet
 
-# Largest n `calc_solution` accepts; the walk takes about 1.4 s there.
+# Largest n `calc_solution` accepts, where a solve takes over a second
+# (README, "Limits and cost").
 MAX_SOLVE_N = 10**8
 # Width of the aligned blocks of n that `calc_solution` fills a memo with.
 # On the `tabulate` benchmark (200 consecutive n from 784-816, one memo;
@@ -351,7 +341,7 @@ def calc_solution(n: int, memo: MemoStore | None = None) -> set[Solution]:
     one, from its entries S_r(n) under SolutionKey(n, r), each read
     through `memo.get`; if any is missing, the aligned block of BLOCK
     values of n that holds n is solved by `_solve_block` first, and all
-    its sets are filed, the empty ones by `SolutionSet.empty`.
+    its sets are filed.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -365,11 +355,10 @@ def calc_solution(n: int, memo: MemoStore | None = None) -> set[Solution]:
     if None in sets:
         start = n - n % BLOCK
         lo, hi = max(start, 2), min(start + BLOCK - 1, MAX_SOLVE_N)
-        new, empty = tuple.__new__, SolutionSet.empty  # most of a block's sets are empty
+        new = tuple.__new__  # a SolutionKey without the Python-level __new__ of a namedtuple
         for r, row in enumerate(_solve_block(lo, hi), 2):
             for m in range(max(lo, 1 << (r - 1)), hi + 1):  # r <= floor(log2 m) + 1
                 key = new(SolutionKey, (m, r))
-                members = row[m - lo]
-                memo[key] = SolutionSet(key, frozenset(members)) if members else empty(key)
+                memo[key] = SolutionSet(key, row[m - lo])
         sets = [memo.get((n, r)) for r in shells]
     return set().union(*[entry.solutions for entry in sets])

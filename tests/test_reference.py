@@ -4,6 +4,7 @@ import pytest
 
 from espsolver.core import DomainError, InvalidSolutionError, Solution, validate
 from espsolver.reference import (
+    _EMPTY,
     MemoStore,
     SolutionKey,
     SolutionSet,
@@ -254,6 +255,13 @@ class TestMemoWork:
             evaluations,
         )
 
+    def test_empty_entries_share_one_frozenset(self):
+        store = MemoStore()
+        reference_solution(700, store)
+        empties = [entry.solutions for entry in store.values() if not entry]
+        assert len(empties) == 1_382
+        assert all(solutions is _EMPTY for solutions in empties)
+
 
 class TestSolutionKeyOrder:
     def test_matches_lexicographic_order_exhaustively(self):
@@ -281,10 +289,23 @@ class TestSolutionSet:
         assert len(ss) == 1
         assert set(ss) == {Solution((2, 15), 13)}
 
-    def test_empty(self):
+    def test_empty_forms_share_one_frozenset(self):
         key = SolutionKey(4, 3)
-        ss = SolutionSet.empty(key)
-        assert type(ss) is SolutionSet and ss.key is key
-        assert len(ss) == 0 and list(ss) == []
-        assert ss.solutions == frozenset()
-        assert SolutionSet.empty(SolutionKey(5, 3)).solutions is ss.solutions
+        for members in ((), [], set(), frozenset(), (s for s in ())):
+            ss = SolutionSet(key, members)
+            assert type(ss) is SolutionSet and ss.key is key
+            assert ss.solutions is _EMPTY, type(members)
+            assert len(ss) == 0 and list(ss) == []
+
+    def test_any_iterable_of_members(self):
+        key = SolutionKey(15, 2)
+        members = [Solution((2, 15), 13), Solution((3, 8), 13)]
+        kept = frozenset(members)
+        forms = (list, tuple, set, lambda m: (s for s in m), frozenset)
+        for form in forms:
+            assert SolutionSet(key, form(members)).solutions == kept, form
+        assert SolutionSet(key, kept).solutions is kept
+        foreign = members + [Solution((2, 14), 12)]  # a member of n = 14
+        for form in forms:
+            with pytest.raises(InvalidSolutionError):
+                SolutionSet(key, form(foreign))
