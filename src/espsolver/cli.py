@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Callable
 
@@ -49,7 +48,9 @@ def cmd_verify(args: Args) -> int:
 def cmd_scan(args: Args) -> int:
     report = scan_exceptional(args["LO"], args["HI"], args["--sg-filter"], args["--workers"])
     if args["--json"]:
-        print(json.dumps(report.as_dict()))
+        # The text json.dumps writes for report.as_dict(): an int, a float
+        # and a list of ints read the same in repr as in JSON.
+        print("{%s}" % ", ".join(['"%s": %r' % pair for pair in zip(report._fields, report)]))
     else:
         values = " ".join(map(str, report.exceptional)) or "(none)"
         print(f"exceptional: {values}")

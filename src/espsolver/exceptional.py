@@ -280,17 +280,24 @@ def _form(c: int, k0: int, qs: array, residues: array, flags: bytearray) -> byte
     clears, so a copy of another form's flags ends as the AND of the two,
     and a base prime's own flag is restored only where it was set before
     the pass: 71 = 12*6 - 1 is a base prime, but 35 = 6*6 - 1 is composite,
-    so k = 6 stays cleared in a copy of the 6k-1 flags.  A q >= size/3
-    has at most three hits, cleared by stores: a slice costs 0.25-0.5 us
-    a prime however few bytes it writes, the stores about half that.  Each
-    part was measured faster than its alternative: one slice loop for
-    every q cost +50-100 % of `_sieve`'s time, a slice for each q with two
-    or three hits +7-16 % at 10^11 and +18-30 % at 10^12 on a full
-    segment, a check per hit in place of the restoring pass +15-17 %, and
-    64-bit first k, to start each q at q*q, +5-12 %."""
+    so k = 6 stays cleared in a copy of the 6k-1 flags.  Each q is
+    cleared by one of three loops: a slice for each q < size/3, a loop of
+    stores for each other q < size, and one compare for each q >= size,
+    which has one hit at most.  The loop of stores clears every hit of
+    any q, so the split at size/3 only decides which primes are sliced.
+    A slice costs 0.25-0.5 us a prime however few bytes it writes, the
+    stores of a prime with at most three hits about half that.  Each part
+    was measured faster than its alternative: one slice loop for every q
+    cost +50-100 % of `_sieve`'s time, a slice for each q with two or
+    three hits +7-16 % at 10^11 and +18-30 % at 10^12 on a full segment,
+    the one-hit primes in the loop of stores +2-4 % of `scan-window`'s
+    time (each of their hits pays one more add and compare), a check per
+    hit in place of the restoring pass +15-17 %, and 64-bit first k, to
+    start each q at q*q, +5-12 %."""
     size = len(flags)
     count = bisect_right(qs, isqrt(c * (k0 + size - 1) - 1))
-    # from qs[few] on, three hits at most; from qs[one] on, one at most
+    # a slice costs least below qs[few] (q < size/3), the loop of stores up
+    # to qs[one], and one compare from there on (q >= size, one hit at most)
     few = bisect_left(qs, -(-size // 3), 0, count)
     one = bisect_left(qs, size, few, count)
     # a base prime that is itself some c*k-1 here is cleared as its own multiple
@@ -300,12 +307,10 @@ def _form(c: int, k0: int, qs: array, residues: array, flags: bytearray) -> byte
         i = (a - k0) % q
         flags[i::q] = bytearray((size - 1 - i) // q + 1)
     for q, a in zip(qs[few:one], residues[few:one]):
-        i = (a - k0) % q  # < q < size
-        flags[i] = 0
-        if (i := i + q) < size:
+        i = (a - k0) % q
+        while i < size:
             flags[i] = 0
-            if (i := i + q) < size:
-                flags[i] = 0
+            i += q
     for q, a in zip(qs[one:count], residues[one:count]):
         if (i := (a - k0) % q) < size:
             flags[i] = 0

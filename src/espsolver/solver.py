@@ -43,23 +43,18 @@ more than MAX_TRIAL steps is replaced by the divisors of m that lie in
 it, from a factorization (trial division by the primes up to 37, then
 `is_prime` and Pollard's rho with Floyd's cycle search).  Full solves up
 to MAX_SOLVE_N rarely meet such a range.  The first-hit walks of a scan
-near 10^12 do: there a survivor's walk fell from ~0.1 s to under 1 ms.
-With the factoring turned off (MAX_TRIAL out of reach), the long scans
-slowed, with the same answers (in-process, base primes and rows built,
-one core of a shared 2-vCPU host, Python 3.11; walks and factored levels
-with it on):
-
-- [2, 10^9], filtered: 2.44-2.82 s -> 5.43-5.82 s (1 447 walks, 10 935
-  factored levels);
-- [10^12 - 10^6, 10^12]: 26-32 -> 58-61 ms filtered (1 walk, 2 levels),
-  27-30 -> 79-88 ms unfiltered (4 walks, 5 levels).
+near 10^12 do, and the long scans rest on the factoring: a filtered
+[2, 10^9] makes 1 447 walks that factor 10 935 levels, and
+[10^12 - 10^6, 10^12] makes 1 walk that factors 2 levels filtered and 4
+walks that factor 5 unfiltered.  With the factoring turned off (MAX_TRIAL
+out of reach) these scans give the same answers, slower (README, "Limits
+and cost", has the times).
 
 The benchmark's workloads barely reach a factored level, so they do not
 bear on MAX_TRIAL: `solve` and `tabulate` never do, and `scan` walks only
 the 8 exceptional values.  One pass of `scan-window`'s 40 unfiltered
 3000-wide windows walks 0-1 n (seeds 1-5) and factors 0, 0, 1, 17 and 0
-levels.  Only seed 4's pass slowed with the factoring off, from
-8.7-9.0 to 9.5-10.0 ms, so MAX_TRIAL's case rests on the scans above.
+levels, so MAX_TRIAL's case rests on the scans above.
 
 The paper's memoized recursion, which the walk is tested against, lives
 in `reference`; nothing here calls it.

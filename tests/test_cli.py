@@ -131,6 +131,28 @@ class TestScan:
         doc = json.loads(capsys.readouterr().out)
         assert doc["walked"] >= len(doc["exceptional"]) == 8
 
+    @pytest.mark.parametrize(
+        "lo,hi", [(2, 1000), (500, 1000), (7, 11), (2, 5), (3 * 10**7, 3 * 10**7 + 3000)]
+    )
+    @pytest.mark.parametrize("use_sg_filter", [False, True])
+    def test_scan_json_is_byte_exact(self, capsys, lo, hi, use_sg_filter):
+        # what json.dumps writes for the library's report of the same window
+        # and mode, with the time the command took
+        flags = ["--json", "--sg-filter"] if use_sg_filter else ["--json"]
+        assert main(["scan", str(lo), str(hi), *flags]) == 0
+        out = capsys.readouterr().out
+        report = scan_exceptional(lo, hi, use_sg_filter)
+        report = report._replace(elapsed_ms=json.loads(out)["elapsed_ms"])
+        assert out == json.dumps(report.as_dict()) + "\n"
+
+    def test_filter_defaults(self, capsys):
+        # the command scans unfiltered unless given --sg-filter, the library
+        # filtered unless given use_sg_filter=False; the filter leaves the
+        # walk fewer n here
+        assert main(["scan", "1000000", "3000000", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["walked"] == 6
+        assert scan_exceptional(10**6, 3 * 10**6).walked == 4
+
     @pytest.mark.parametrize("hi", [MAX_SCAN_HI + 1, 10**18])
     def test_scan_above_limit_domain_error(self, capsys, hi):
         assert main(["scan", "2", str(hi)]) == 2
@@ -255,7 +277,9 @@ def test_import_budget():
     # argparse, and the gettext it loads, cost more to import and build on
     # every run than the command line's own parser.
     assert not cli & {"argparse", "gettext"}
-    # The command-line parser and the JSON codec load with the CLI only.
+    # Both --json documents are written as text, so the JSON codec loads
+    # with neither the package nor the command line.
+    assert "json" not in cli
     package = added_modules("import espsolver")
     assert "espsolver" in package
     assert not package & {"argparse", "json"}

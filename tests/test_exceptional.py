@@ -241,7 +241,8 @@ class TestScan:
     # here and moves with the plan.  It depends on the rows' bound MAX_STEP
     # and the filter, not on the window's width, SEGMENT or the workers.  Up
     # to 10^5 the progressions leave only the exceptional values to the walk;
-    # above that the filter leaves fewer n to walk than n-1 prime alone.
+    # above that the filter can leave fewer n to walk than n-1 prime alone,
+    # as on [10^6, 3*10^6].
     @pytest.mark.parametrize(
         "lo,hi,walked_filtered,walked_unfiltered",
         [
@@ -252,6 +253,7 @@ class TestScan:
             (10**9, 10**9 + 3000, 1, 1),
             (10**9, 10**9 + 9000, 1, 1),
             (3 * 10**7, 3 * 10**7 + 6000, 0, 0),
+            (10**6, 3 * 10**6, 4, 6),
         ],
     )
     def test_walked_per_window(self, lo, hi, walked_filtered, walked_unfiltered):
