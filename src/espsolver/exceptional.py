@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import os
 import time
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cache, partial
@@ -163,19 +162,21 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 @cache
 def _rows(
     max_step: int,
-) -> tuple[list[tuple[int, int]], list[tuple[int, array]], list[tuple[int, array]]]:
+) -> tuple[list[tuple[int, int]], list[tuple[int, list[int]]], list[tuple[int, list[int]]]]:
     """The rows that the r >= 3 progressions with step <= max_step make of
     the n = 6k, cached by that bound.  The walk files each row straight
-    into the table of its step t: an array, indexed by k mod t, that holds
+    into the table of its step t: a list, indexed by k mod t, that holds
     the first k of that class's row, or 0, so a row holds k exactly when
-    0 < table[k % t] <= k; 4-byte entries keep the tables near 134 KB at
-    MAX_STEP.  Three parts are read off those tables:
+    0 < table[k % t] <= k.  At MAX_STEP the tables take about 310 KB, an
+    8-byte slot per class and an int of its own per first k; 32-bit arrays
+    took 148 KB, but built an int on every read.  Three parts are read off
+    those tables:
 
     - `every`: a pair (t, table) for each step that keeps a row, ascending,
       so that the steps that hold the most k are tried first.  A segment
       with few live k (`_few_live`) looks each of them up in these alone;
     - `sparse`: the tail of `every` of step above DENSE_STEP, the very same
-      arrays, in which the other segments look up each k the slices leave;
+      lists, in which the other segments look up each k the slices leave;
     - `dense`: the rows of step up to DENSE_STEP as pairs (step, first k),
       by step and then by class, which those segments slice.
 
@@ -195,7 +196,7 @@ def _rows(
       for holding no live k or for lying inside a row of a still smaller
       step, so the live k of the row stay covered.
     """
-    tables: list[array | None] = [None] * (max_step + 1)  # by step
+    tables: list[list[int] | None] = [None] * (max_step + 1)  # by step
     filled: list[tuple[int, int]] = []  # (step, class) as the walk first fills it
 
     def extend(p: int, s: int, r: int, lo: int) -> None:
@@ -212,7 +213,7 @@ def _rows(
                 k += (res - k) % step
                 table = tables[step]
                 if table is None:
-                    table = tables[step] = array("i", [0]) * step
+                    table = tables[step] = [0] * step
                 if not table[res]:
                     filled.append((step, res))
                     table[res] = k
@@ -226,7 +227,7 @@ def _rows(
         extend(x, x, 3, x)
     del extend  # its closure refers to it and holds the tables: free them with the frame
     # by step, the tables of its proper divisors that are steps too
-    inner: list[list[tuple[int, array]]] = [[] for _ in tables]
+    inner: list[list[tuple[int, list[int]]]] = [[] for _ in tables]
     for t, table in enumerate(tables):
         if table:
             for m in range(2 * t, max_step + 1, t):
@@ -247,12 +248,14 @@ def _rows(
 
 # The sieve's base primes q >= 5, the bound they are complete to, and for
 # each q the k with 6k = 1 and with 12k = 1 (mod q): the n = 6k at which q
-# divides n-1 and 2n-1.  One cache per process, grown by `_base_primes`;
-# 32-bit arrays keep it near 1.3 MB at MAX_SCAN_HI.
-_BASE: tuple[int, array, array, array] = (0, array("i"), array("i"), array("i"))
+# divides n-1 and 2n-1.  One cache per process, grown by `_base_primes`.
+# As lists of ints it takes about 13 MB at MAX_SCAN_HI, an int object per
+# value, against 1.3 MB as 32-bit arrays; the lists are read without
+# building an int, which makes a `scan-window` pass about 15 % faster.
+_BASE: tuple[int, list[int], list[int], list[int]] = (0, [], [], [])
 
 
-def _base_primes(m: int) -> tuple[array, array, array]:
+def _base_primes(m: int) -> tuple[list[int], list[int], list[int]]:
     """The cached base primes, with their two k-residues, holding every
     prime 5 <= q <= m and maybe a few more.  A larger m re-sieves the cache
     to m + m // 64, so that ascending scans re-sieve it seldom; `_form`
@@ -265,14 +268,14 @@ def _base_primes(m: int) -> tuple[array, array, array]:
         for q in range(2, isqrt(limit) + 1):
             if flags[q]:
                 flags[q * q :: q] = bytearray(len(range(q * q, limit + 1, q)))
-        qs = array("i", compress(range(5, limit + 1), flags[5:]))
-        r6 = array("i", (((6 - q % 6) * q + 1) // 6 for q in qs))
-        r12 = array("i", (((12 - q % 12) * q + 1) // 12 for q in qs))
+        qs = list(compress(range(5, limit + 1), flags[5:]))
+        r6 = [((6 - q % 6) * q + 1) // 6 for q in qs]
+        r12 = [((12 - q % 12) * q + 1) // 12 for q in qs]
         _BASE = limit, qs, r6, r12
     return qs, r6, r12
 
 
-def _form(c: int, k0: int, qs: array, residues: array, flags: bytearray) -> bytearray:
+def _form(c: int, k0: int, qs: list[int], residues: list[int], flags: bytearray) -> bytearray:
     """Clear the flag of each k with c*k-1 composite in `flags`, the flags of
     k = k0 ... k0 + size - 1 with size = len(flags), and return `flags`.
     The base primes are those q <= isqrt(c*(k0 + size - 1) - 1) in `qs`,
@@ -293,7 +296,9 @@ def _form(c: int, k0: int, qs: array, residues: array, flags: bytearray) -> byte
     the one-hit primes in the loop of stores +2-4 % of `scan-window`'s
     time (each of their hits pays one more add and compare), a check per
     hit in place of the restoring pass +15-17 %, and 64-bit first k, to
-    start each q at q*q, +5-12 %."""
+    start each q at q*q, +5-12 %.  These were measured while `qs` and
+    the residues were 32-bit arrays; on lists, the one-hit fold costs
+    +4.6 % of `scan-window`'s time."""
     size = len(flags)
     count = bisect_right(qs, isqrt(c * (k0 + size - 1) - 1))
     # a slice costs least below qs[few] (q < size/3), the loop of stores up
@@ -331,8 +336,8 @@ def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
 def _few_live(flags: bytearray, rows: int) -> bool:
     """True when `flags` spans at most 64 k a dense row and holds fewer live
     k than there are dense rows, `rows`: then looking each live k up in
-    every row (0.4-1.1 us a k) costs less than slicing the dense rows
-    across the segment (65-170 us on a narrow one).  A wider segment is
+    every row (0.34-0.55 us a k) costs less than slicing the dense rows
+    across the segment (48-106 us on a narrow one).  A wider segment is
     sliced uncounted.  6k-1 is prime for more than 1 k in 10 below
     MAX_SCAN_HI, so unfiltered it holds more than 1 000 live k, and
     counting a full segment costs 0.4-0.7 ms; filtered, the two ways cost

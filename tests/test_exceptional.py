@@ -1,6 +1,5 @@
 import hashlib
 import os
-from array import array
 from math import gcd, isqrt
 
 import pytest
@@ -304,7 +303,7 @@ class TestScan:
         # Two windows 10^5 apart on either side of the hi at which the exact
         # bound isqrt(2 * hi) grows by one: an exact-size cache would be
         # sieved again for the second.
-        monkeypatch.setattr(exceptional, "_BASE", (0, array("i"), array("i"), array("i")))
+        monkeypatch.setattr(exceptional, "_BASE", (0, [], [], []))
         m = isqrt(2 * MAX_SCAN_HI) - 1
         edge = -(-((m + 1) ** 2) // 2)  # the least hi with isqrt(2 * hi) = m + 1
         caches = []
@@ -415,6 +414,28 @@ class TestSieve:
     def test_examples(self, k0, size):
         self.assert_flags_are_primality(k0, size)
 
+    @pytest.mark.parametrize("m", [4, 5, 100, 10**4])
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_base_primes(self, monkeypatch, m, grown):
+        # every prime 5 <= q up to the cache's limit, ascending, with the k
+        # at which q divides 6k-1 and 12k-1; a smaller m reads the same cache
+        monkeypatch.setattr(exceptional, "_BASE", (0, [], [], []))
+        if grown:
+            exceptional._base_primes(m // 3)
+        qs, r6, r12 = exceptional._base_primes(m)
+        cache = exceptional._BASE
+        limit = cache[0]
+        assert limit >= m
+        assert cache[1:] == (qs, r6, r12)
+        assert qs == [q for q in range(5, limit + 1) if is_prime(q)]
+        for q, a, b in zip(qs, r6, r12, strict=True):
+            assert 0 < a < q and 6 * a % q == 1, q
+            assert 0 < b < q and 12 * b % q == 1, q
+        for smaller in (m, m // 2, 0):
+            parts = zip(exceptional._base_primes(smaller), cache[1:], strict=True)
+            assert all(mine is part for mine, part in parts)
+            assert exceptional._BASE is cache
+
     def test_restores_a_base_prime_only_where_it_was_set(self):
         # k = 1: 5 and 11 are prime.  k = 6: 71 = 12*6 - 1 is a base prime,
         # cleared as its own multiple, but 35 = 6*6 - 1 is composite
@@ -441,7 +462,7 @@ class TestPlan:
     @staticmethod
     def rows(max_step):
         # every row of `_rows(max_step)` as (step, first k): the sliced ones,
-        # then those read off the sparse lookup arrays
+        # then those read off the sparse lookup tables
         dense, sparse, _ = exceptional._rows(max_step)
         looked_up = [(step, first) for step, table in sparse for first in table if first]
         return dense + looked_up
@@ -488,7 +509,7 @@ class TestPlan:
         assert set(bounds) == {7}
         # (2, 3) gives n = 18 + 30j, (2, 2, 2) n = 12 + 42j and (2, 4) n = 60 + 42j
         # and, for lookups, the first k of each by step and class k mod step
-        five, seven = array("i", [0, 0, 0, 3, 0]), array("i", [0, 0, 2, 10, 0, 0, 0])
+        five, seven = [0, 0, 0, 3, 0], [0, 0, 2, 10, 0, 0, 0]
         assert rows(7) == ([(5, 3), (7, 2), (7, 10)], [], [(5, five), (7, seven)])
 
     @pytest.mark.parametrize("use_sg_filter", [True, False])
@@ -556,7 +577,7 @@ class TestPlan:
             2048: "5f5223d94b4500950562d8fe0bcf2ae0dbed2f6d53ad87557513a4a4a02e3be5",
         }[bound]
         dense, sparse, every = exceptional._rows.__wrapped__(bound)  # not kept in the cache
-        tables = [[(t, table.tolist()) for t, table in part] for part in (sparse, every)]
+        tables = [[(t, list(table)) for t, table in part] for part in (sparse, every)]
         assert hashlib.sha256(repr((dense, *tables)).encode()).hexdigest() == digest
         tail = every[len(every) - len(sparse) :]
         assert all(mine is table for (_, mine), (_, table) in zip(tail, sparse, strict=True))
@@ -581,7 +602,7 @@ class TestPlan:
         # the rows up to DENSE_STEP as pairs, by step and then by class;
         # every row of larger step once, in its class, with its first k; and
         # `every` row once more, the dense steps first, then the very sparse
-        # arrays
+        # tables
         dense_step = exceptional.DENSE_STEP
         dense, sparse, every = exceptional._rows(bound)
         steps = [step for step, _ in dense]
@@ -611,7 +632,7 @@ class TestPlan:
         if bound == exceptional.MAX_STEP:
             assert (len(dense), len(sparse_rows), len(looked_up)) == (193, 952, 1145)
             assert (len(sparse_steps), sum(sparse_steps)) == (101, 31_799)
-            # the dense lookup arrays: 39 steps, 2 535 entries
+            # the dense lookup tables: 39 steps, 2 535 entries
             assert (len(dense_steps), sum(dense_steps)) == (39, 2_535)
 
     # 131 is the least bound with a looked-up row: step 131 alone
