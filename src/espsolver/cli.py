@@ -46,7 +46,7 @@ def cmd_verify(args: Args) -> int:
 
 
 def cmd_scan(args: Args) -> int:
-    report = scan_exceptional(args["LO"], args["HI"], args["--sg-filter"], args["--workers"])
+    report = scan_exceptional(args["LO"], args["HI"], workers=args["--workers"])
     if args["--json"]:
         # The text json.dumps writes for report.as_dict(): an int, a float
         # and a list of ints read the same in repr as in JSON.
@@ -64,7 +64,6 @@ def cmd_scan(args: Args) -> int:
 # False unless given), its default, and what it does.
 FLAGS = {
     "--json": (None, False, "print one JSON document"),
-    "--sg-filter": (None, False, "check only n with n-1 a Sophie Germain prime"),
     "--workers": ("K", 1, "scan in K processes, at most one per CPU and per segment"),
 }
 
@@ -82,7 +81,7 @@ COMMANDS: dict[str, tuple[Callable[[Args], int], tuple[str, ...], tuple[str, ...
     "scan": (
         cmd_scan,
         ("LO", "HI"),
-        ("--sg-filter", "--json", "--workers"),
+        ("--json", "--workers"),
         "list the exceptional n in [LO, HI]",
     ),
 }

@@ -21,9 +21,10 @@ steps by p*x - 1 (y -> y + 1).  Two cases of it are prime conditions:
 with n-1 prime, n-1 is a prime other than 2 and 3, so n is even and
 n != 1 (mod 3).  If n = 2 (mod 3), then 3 divides 2n-1 > 3, so n-1 is no
 Sophie Germain prime, and the progression of step 3 from n = 5 (solution
-(2, 2, 2)) clears n.  So every n >= 5 that is live, or counted as a Sophie
-Germain candidate, is a multiple of 6.  Two more prefixes are exact
-conditions on such an n = 6k; the scan does not use them:
+(2, 2, 2)) clears n.  So every n >= 5 with n-1 a Sophie Germain prime,
+the live n that the scan counts and checks, is a multiple of 6.  Two more
+prefixes are exact conditions on such an n = 6k; the scan does not use
+them:
 
 - the prefix (2, 2) (r = 4) reads (4x-1)(4y-1) = 4n+1 with x >= 2.  3
   does not divide 4n+1 = 24k+1, so its divisors = 3 (mod 4) pair off from
@@ -38,15 +39,14 @@ conditions on such an n = 6k; the scan does not use them:
 
 Every scan runs one plan:
 
-- Flags: two bytearrays over k, `live` (6k-1 prime: the live n = 6k) and
-  `germain` (6k-1 and 12k-1 both prime: n-1 a Sophie Germain prime).
-  `_sieve`, a sieve of Eratosthenes over k, makes `live` from the base
-  primes q >= 5 up to sqrt(2*hi), cached once per process with the k at
-  which each q divides 6k-1 and 12k-1, and `germain` by sieving 12k-1
-  over a copy of `live`.  The Sophie Germain count is read off `germain`;
-  the filter only chooses which of the two the progressions and the walk
-  read.  Near MAX_SCAN_HI the sieve passes over all the base primes
-  however narrow the window.
+- Flags: one bytearray over k, set where 6k-1 and 12k-1 are both prime
+  (n-1 a Sophie Germain prime: the live n = 6k).  `_sieve`, a sieve of
+  Eratosthenes over k, clears the k with 6k-1 composite and then, in the
+  same array, those with 12k-1 composite, from the base primes q >= 5 up
+  to sqrt(2*hi), cached once per process with the k at which each q
+  divides 6k-1 and 12k-1.  The Sophie Germain count is read off the flags
+  before the progressions and the walk read them.  Near MAX_SCAN_HI the
+  sieve passes over all the base primes however narrow the window.
 - Progressions: each one of step p*x - 1 <= MAX_STEP clears the n it hits,
   each of which has a proven non-basic solution.  In k, the progressions
   are rows, a class of k modulo a step from a first k.  `_rows` builds
@@ -61,21 +61,21 @@ Every scan runs one plan:
   cost less than the slices (`_few_live`).  Any other segment slices the
   193 rows of step up to DENSE_STEP = 128 across it (`_rows`' `dense`),
   and looks up the 952 of larger step, one table at a time, for each n
-  that the slices and the filter leave (`sparse`): few n are left, while
-  a slice writes across the whole segment to clear them.
+  that the slices leave (`sparse`): few n are left, while a slice writes
+  across the whole segment to clear them.
 - Segments: the K k of [lo, hi] are cut into ceil(K / SEGMENT) segments of
   SEGMENT k (2^22 values of n), whatever the workers.  They bound the
-  memory of a scan: each of its two bytearrays of flags takes ~0.7 MB.  A
-  pool starts only for two or more of them.
+  memory of a scan: a segment's bytearray of flags takes ~0.7 MB.  A pool
+  starts only for two or more of them.
 
 What is left is decided by `find_first_nonbasic`, which stops at the first
 non-basic solution that the solver's product-bounded walk
 (`solver.walk_shells`) finds.  Clearing and walking are both exact, so the
 answer does not depend on the plan; `walked`, the count of n left to the
-walk, depends on MAX_STEP and the filter only.  `is_exceptional` checks
-one n the same way.  Scans and checks stop at MAX_SCAN_HI, the walk's
-limit.  What a scan costs, and what a larger MAX_STEP would, is measured
-in README ("Limits and cost", "CLI").
+walk, depends on MAX_STEP only.  `is_exceptional` checks one n the same
+way.  Scans and checks stop at MAX_SCAN_HI, the walk's limit.  What a
+scan costs, and what a larger MAX_STEP would, is measured in README
+("Limits and cost", "CLI").
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ import os
 import time
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cache, partial
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 
@@ -143,8 +143,8 @@ class ScanReport(namedtuple("ScanReport", "lo hi sg_candidates walked exceptiona
 
     `sg_candidates` counts the n with n = 2 or n-1 a Sophie Germain prime;
     `walked` counts the n that the flags and progressions left to
-    `find_first_nonbasic`: it moves with the filter and the rows' bound
-    MAX_STEP, the answer does not.
+    `find_first_nonbasic`: it moves with the rows' bound MAX_STEP, the
+    answer does not.
     Like `Solution`, it is an immutable tuple, equal to the plain tuple of
     its six fields.
     """
@@ -280,10 +280,10 @@ def _form(c: int, k0: int, qs: list[int], residues: list[int], flags: bytearray)
     k = k0 ... k0 + size - 1 with size = len(flags), and return `flags`.
     The base primes are those q <= isqrt(c*(k0 + size - 1) - 1) in `qs`,
     with the k at which each divides c*k-1 in `residues`.  Sieving only
-    clears, so a copy of another form's flags ends as the AND of the two,
-    and a base prime's own flag is restored only where it was set before
-    the pass: 71 = 12*6 - 1 is a base prime, but 35 = 6*6 - 1 is composite,
-    so k = 6 stays cleared in a copy of the 6k-1 flags.  Each q is
+    clears, so another form's flags end as the AND of the two, and a base
+    prime's own flag is restored only where it was set before the pass:
+    71 = 12*6 - 1 is a base prime, but 35 = 6*6 - 1 is composite, so k = 6
+    stays cleared when the 12k-1 pass runs over the 6k-1 flags.  Each q is
     cleared by one of three loops: a slice for each q < size/3, a loop of
     stores for each other q < size, and one compare for each q >= size,
     which has one hit at most.  The loop of stores clears every hit of
@@ -324,42 +324,38 @@ def _form(c: int, k0: int, qs: list[int], residues: list[int], flags: bytearray)
     return flags
 
 
-def _sieve(k0: int, size: int) -> tuple[bytearray, bytearray]:
-    """Flags of 6k-1 prime (`live`) and of 6k-1 and 12k-1 both prime
-    (`germain`), for k = k0 ... k0 + size - 1, k0 >= 1: `germain` is the
-    12k-1 sieve run over a copy of `live`."""
+def _sieve(k0: int, size: int) -> bytearray:
+    """Flags of 6k-1 and 12k-1 both prime (n-1 a Sophie Germain prime), for
+    k = k0 ... k0 + size - 1, k0 >= 1: the 12k-1 sieve runs over the 6k-1
+    flags in place."""
     qs, r6, r12 = _base_primes(isqrt(12 * (k0 + size) - 13))
-    live = _form(6, k0, qs, r6, bytearray(b"\x01") * size)
-    return live, _form(12, k0, qs, r12, bytearray(live))
+    return _form(12, k0, qs, r12, _form(6, k0, qs, r6, bytearray(b"\x01") * size))
 
 
-def _few_live(flags: bytearray, rows: int) -> bool:
-    """True when `flags` spans at most 64 k a dense row and holds fewer live
-    k than there are dense rows, `rows`: then looking each live k up in
-    every row (0.34-0.55 us a k) costs less than slicing the dense rows
-    across the segment (48-106 us on a narrow one).  A wider segment is
-    sliced uncounted.  6k-1 is prime for more than 1 k in 10 below
-    MAX_SCAN_HI, so unfiltered it holds more than 1 000 live k, and
-    counting a full segment costs 0.4-0.7 ms; filtered, the two ways cost
-    about the same there (README, the table of the two ways)."""
-    return len(flags) <= 64 * rows and flags.count(1) < rows
+def _few_live(size: int, live: int, rows: int) -> bool:
+    """True when a segment of `size` k spans at most 64 k a dense row and
+    holds fewer `live` k than there are dense rows, `rows`: then looking
+    each live k up in every row (0.34-0.55 us a k) costs less than slicing
+    the dense rows across the segment (48-106 us on a narrow one).  A wider
+    segment is sliced whatever it holds: near MAX_SCAN_HI, 16 000 k hold
+    about 145 live k, and the two ways cost about the same there (README,
+    the table of the two ways)."""
+    return size <= 64 * rows and live < rows
 
 
-def _scan_segment(segment: tuple[int, int], use_sg_filter: bool) -> tuple[list[int], int, int]:
+def _scan_segment(segment: tuple[int, int]) -> tuple[list[int], int, int]:
     """Scan the n = 6k for k = k0 ... k0 + size - 1, k0 >= 1: the exceptional
     n, the Sophie Germain count, and how many n the walk decided.  The count
-    is taken from `germain` before any slice; then the filter picks the flags
-    that are read, `germain` or `live`.  The rows of `_rows(MAX_STEP)` clear
-    n.  If the segment is narrow and holds fewer live k than there are
-    dense rows (`_few_live`), each live k is looked up in every row
+    is taken from the flags before any slice.  The rows of `_rows(MAX_STEP)`
+    clear n.  If the segment is narrow and holds fewer live k than there
+    are dense rows (`_few_live`), each live k is looked up in every row
     (`every`); otherwise the dense rows are sliced, and the others
     (`sparse`) looked up for each n left.  Both ways clear the same n."""
     k0, size = segment
-    live, germain = _sieve(k0, size)
-    sg_count = germain.count(1)
-    flags = germain if use_sg_filter else live
+    flags = _sieve(k0, size)
+    sg_count = flags.count(1)
     dense, sparse, every = _rows(MAX_STEP)
-    if _few_live(flags, len(dense)):
+    if _few_live(size, sg_count, len(dense)):
         tables = every
     else:
         tables = sparse
@@ -386,13 +382,12 @@ def scan_exceptional(
 ) -> ScanReport:
     """Scan [lo, hi] for exceptional values, for 2 <= lo <= hi <= MAX_SCAN_HI.
 
-    With the filter on, only n = 2 and n with n-1 a Sophie Germain prime
-    are live; with it off, every n with n-1 prime is, and the progressions
-    and the walk decide each of them.  The filter is a proven necessary
-    condition, so both modes find the same values, and `sg_candidates` is
-    the filtered count in both.  The plan (see the module docstring) is
-    fixed by [lo, hi] alone: its k-window is cut into segments of SEGMENT
-    k, and every segment reads the same rows.
+    Only n = 2 and the n with n-1 a Sophie Germain prime, a proven
+    necessary condition, are live.  `use_sg_filter` is ignored: every scan
+    reads the Sophie Germain flags.  It stays for the callers that pass it,
+    as the third positional argument or by keyword.  The plan (see the
+    module docstring) is fixed by [lo, hi] alone: its k-window is cut into
+    segments of SEGMENT k, and every segment reads the same rows.
     `workers` must be >= 1 and only sizes the pool: the segments are mapped
     over min(workers, segments, CPUs) processes, and in-process below two.
     """
@@ -408,7 +403,6 @@ def scan_exceptional(
     segments = [(k, min(SEGMENT, end - k)) for k in range(k0, end, SEGMENT)]
     # the base primes, sized once for the whole range; forked workers inherit them
     _base_primes(isqrt(2 * hi))
-    task = partial(_scan_segment, use_sg_filter=use_sg_filter)
     # n = 2, 3, 4 are live and Sophie Germain; any other live n is some 6k
     small = [n for n in (2, 3, 4) if lo <= n <= hi]
     parts = [([n for n in small if find_first_nonbasic(n) is None], len(small), len(small))]
@@ -420,9 +414,9 @@ def scan_exceptional(
 
         _rows(MAX_STEP)  # built before the fork, so that the workers inherit them
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts += pool.map(task, segments)
+            parts += pool.map(_scan_segment, segments)
     else:
-        parts += map(task, segments)
+        parts += map(_scan_segment, segments)
     exceptional = [n for part, _, _ in parts for n in part]
     sg_count = sum(sg for _, sg, _ in parts)
     walked = sum(w for _, _, w in parts)

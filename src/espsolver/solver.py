@@ -43,18 +43,17 @@ more than MAX_TRIAL steps is replaced by the divisors of m that lie in
 it, from a factorization (trial division by the primes up to 37, then
 `is_prime` and Pollard's rho with Floyd's cycle search).  Full solves up
 to MAX_SOLVE_N rarely meet such a range.  The first-hit walks of a scan
-near 10^12 do, and the long scans rest on the factoring: a filtered
-[2, 10^9] makes 1 447 walks that factor 10 935 levels, and
-[10^12 - 10^6, 10^12] makes 1 walk that factors 2 levels filtered and 4
-walks that factor 5 unfiltered.  With the factoring turned off (MAX_TRIAL
-out of reach) these scans give the same answers, slower (README, "Limits
-and cost", has the times).
+near 10^12 do, and the long scans rest on the factoring: [2, 10^9]
+makes 1 447 walks that factor 10 935 levels, and [10^12 - 10^6, 10^12]
+makes 1 walk that factors 2 levels.  With the factoring turned off
+(MAX_TRIAL out of reach) these scans give the same answers, slower
+(README, "Limits and cost", has the times).
 
 The benchmark's workloads barely reach a factored level, so they do not
 bear on MAX_TRIAL: `solve` and `tabulate` never do, and `scan` walks only
-the 8 exceptional values.  One pass of `scan-window`'s 40 unfiltered
-3000-wide windows walks 0-1 n (seeds 1-5) and factors 0, 0, 1, 17 and 0
-levels, so MAX_TRIAL's case rests on the scans above.
+the 8 exceptional values.  One pass of `scan-window`'s 40 3000-wide
+windows walks 0-1 n (seeds 1-5) and factors 0, 0, 0, 17 and 0 levels, so
+MAX_TRIAL's case rests on the scans above.
 
 The paper's memoized recursion, which the walk is tested against, lives
 in `reference`; nothing here calls it.

@@ -86,20 +86,16 @@ class TestVerify:
 
 class TestScan:
     def test_scan_text(self, capsys):
-        assert main(["scan", "2", "1000", "--sg-filter"]) == 0
+        assert main(["scan", "2", "1000"]) == 0
         out = capsys.readouterr().out
         assert "exceptional: 2 3 4 6 24 114 174 444" in out
 
     def test_scan_empty(self, capsys):
-        assert main(["scan", "500", "1000", "--sg-filter"]) == 0
+        assert main(["scan", "500", "1000"]) == 0
         assert "exceptional: (none)" in capsys.readouterr().out
 
-    def test_scan_unfiltered_same_list(self, capsys):
-        assert main(["scan", "2", "1000"]) == 0
-        assert "exceptional: 2 3 4 6 24 114 174 444" in capsys.readouterr().out
-
     def test_scan_json(self, capsys):
-        assert main(["scan", "2", "200", "--sg-filter", "--json"]) == 0
+        assert main(["scan", "2", "200", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["lo", "hi", "sg_candidates", "walked", "exceptional", "elapsed_ms"]
         assert doc["lo"] == 2 and doc["hi"] == 200
@@ -108,7 +104,7 @@ class TestScan:
         assert doc["elapsed_ms"] >= 0
 
     def test_scan_workers(self, capsys):
-        assert main(["scan", "2", "1000", "--sg-filter", "--workers", "2"]) == 0
+        assert main(["scan", "2", "1000", "--workers", "2"]) == 0
         assert "exceptional: 2 3 4 6 24 114 174 444" in capsys.readouterr().out
 
     def test_scan_bad_range(self, capsys):
@@ -121,10 +117,10 @@ class TestScan:
         assert "workers" in capsys.readouterr().err
 
     def test_scan_text_counts(self, capsys):
-        assert main(["scan", "2", "1000", "--sg-filter"]) == 0
+        assert main(["scan", "2", "1000"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "Sophie Germain candidates: 38" in out
-        assert f"walked: {scan_exceptional(2, 1000, True).walked}" in out
+        assert f"walked: {scan_exceptional(2, 1000).walked}" in out
 
     def test_scan_json_walked(self, capsys):
         assert main(["scan", "2", "1000", "--json"]) == 0
@@ -136,21 +132,20 @@ class TestScan:
     )
     @pytest.mark.parametrize("use_sg_filter", [False, True])
     def test_scan_json_is_byte_exact(self, capsys, lo, hi, use_sg_filter):
-        # what json.dumps writes for the library's report of the same window
-        # and mode, with the time the command took
-        flags = ["--json", "--sg-filter"] if use_sg_filter else ["--json"]
-        assert main(["scan", str(lo), str(hi), *flags]) == 0
+        # what json.dumps writes for the library's report of the same
+        # window, with the time the command took, whichever value of the
+        # flag that the library ignores it is given
+        assert main(["scan", str(lo), str(hi), "--json"]) == 0
         out = capsys.readouterr().out
         report = scan_exceptional(lo, hi, use_sg_filter)
         report = report._replace(elapsed_ms=json.loads(out)["elapsed_ms"])
         assert out == json.dumps(report.as_dict()) + "\n"
 
     def test_filter_defaults(self, capsys):
-        # the command scans unfiltered unless given --sg-filter, the library
-        # filtered unless given use_sg_filter=False; the filter leaves the
-        # walk fewer n here
+        # the command and the library both read the Sophie Germain flags;
+        # the 6k-1 flags alone would leave the walk 6 n here, not 4
         assert main(["scan", "1000000", "3000000", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["walked"] == 6
+        assert json.loads(capsys.readouterr().out)["walked"] == 4
         assert scan_exceptional(10**6, 3 * 10**6).walked == 4
 
     @pytest.mark.parametrize("hi", [MAX_SCAN_HI + 1, 10**18])
@@ -177,7 +172,7 @@ PARITY = [
     (["-h"], 0, ["usage: esp", "solve", "verify", "scan"], []),
     (["solve", "-h"], 0, ["usage: esp solve", "--json"], []),
     (["verify", "--help"], 0, ["usage: esp verify"], []),
-    (["scan", "--help"], 0, ["usage: esp scan", "--sg-filter", "--json", "--workers"], []),
+    (["scan", "--help"], 0, ["usage: esp scan", "--json", "--workers"], []),
     (["frob", "3"], 2, [], ["usage: esp", "error:", "'frob'"]),
     (["solve"], 2, [], ["usage: esp solve", "error:", "required"]),
     (["solve", "1", "2"], 2, [], ["usage: esp", "error: unrecognized arguments: 2"]),
@@ -188,14 +183,16 @@ PARITY = [
     (["--json", "solve", "15"], 2, [], ["usage: esp", "error:"]),
     (["solve", "--json", "15"], 0, ['"n": 15'], []),
     (["scan", "--json", "2", "1000"], 0, ['"exceptional": [2, 3, 4, 6, 24, 114, 174, 444]'], []),
-    (["scan", "2", "--sg-filter", "1000"], 0, [EXCEPTIONAL, "candidates: 38"], []),
+    (["scan", "2", "--json", "1000"], 0, ['"sg_candidates": 38, "walked": 8'], []),
+    # the Sophie Germain filter is no longer a flag: every scan applies it
+    (["scan", "2", "1000", "--sg-filter"], 2, [], ["error: unrecognized arguments: --sg-filter"]),
     (["scan", "2", "1000", "--workers", "2"], 0, [EXCEPTIONAL], []),
     (["scan", "2", "1000", "--workers=2"], 0, [EXCEPTIONAL], []),
     (["scan", "2", "1000", "--workers"], 2, [], ["usage: esp scan", "--workers", "expected one argument"]),
     (["scan", "2", "1000", "--workers", "x"], 2, [], ["--workers", "invalid int value: 'x'"]),
     (["scan", "2", "1000", "--json=1"], 2, [], ["usage: esp scan", "--json"]),
     (["solve", "-5"], 2, [], ["error: n must be >= 2, got -5"]),
-    # Flags are not abbreviated: --sg is not --sg-filter.
+    # Unknown flags are refused, here one that was never a flag.
     (["scan", "2", "1000", "--sg"], 2, [], ["error: unrecognized arguments: --sg"]),
 ]
 
@@ -221,7 +218,7 @@ def test_help_is_the_module_docstring(capsys):
     assert exit_code_of(["--help"]) == 0
     help_text = capsys.readouterr().out
     assert help_text.startswith("usage: esp solve N [--json]\n")
-    assert "esp scan LO HI [--sg-filter] [--json] [--workers K]" in help_text
+    assert "esp scan LO HI [--json] [--workers K]" in help_text
     assert help_text in espsolver.cli.__doc__
 
 
@@ -230,13 +227,13 @@ class TestWorkersCap:
     def test_capped_at_cpu_count(self, capsys, monkeypatch, fake_pool, cpus, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(exceptional, "SEGMENT", 40)  # 166 k in 5 segments
-        assert main(["scan", "2", "1000", "--sg-filter", "--workers", "64"]) == 0
+        assert main(["scan", "2", "1000", "--workers", "64"]) == 0
         assert "exceptional: 2 3 4 6 24 114 174 444" in capsys.readouterr().out
         assert fake_pool.sizes == expected
 
     def test_task_pickles_small(self, monkeypatch, fake_pool):
-        # A segment task carries the filter flag only; workers build or
-        # inherit the base primes themselves.
+        # A segment task is the scan's function, pickled by name, and its
+        # segment; workers build or inherit the base primes themselves.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(exceptional, "SEGMENT", 100)  # 500 k in 5 segments
         assert main(["scan", str(MAX_SCAN_HI - 3000), str(MAX_SCAN_HI), "--workers", "2"]) == 0

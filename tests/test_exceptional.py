@@ -175,9 +175,7 @@ class TestIsExceptional:
 
     def test_independent_of_the_reference(self, refuse_the_reference):
         assert [n for n in range(2, 3001) if is_exceptional(n)] == KNOWN_EXCEPTIONAL
-        for use_sg_filter in (True, False):
-            report = scan_exceptional(2, 2000, use_sg_filter)
-            assert report.exceptional == KNOWN_EXCEPTIONAL
+        assert scan_exceptional(2, 2000).exceptional == KNOWN_EXCEPTIONAL
 
     def test_scan_against_the_block_walk(self):
         # An engine that shares no sieve, rows or per-n walk with the scan:
@@ -192,23 +190,24 @@ class TestIsExceptional:
                 if members == [Solution((2, lo + i), lo + i - 2)]:
                     found.append(lo + i)
         assert found == KNOWN_EXCEPTIONAL
-        for use_sg_filter in (True, False):
-            assert scan_exceptional(2, hi, use_sg_filter).exceptional == found
+        assert scan_exceptional(2, hi).exceptional == found
 
 
 class TestScan:
     def test_empty_window(self):
-        assert scan_exceptional(7, 23, use_sg_filter=True).exceptional == []
+        assert scan_exceptional(7, 23).exceptional == []
 
     def test_filter_independence(self):
-        with_filter = scan_exceptional(2, 2000, use_sg_filter=True)
-        without = scan_exceptional(2, 2000, use_sg_filter=False)
-        assert with_filter.exceptional == without.exceptional == KNOWN_EXCEPTIONAL
-        # candidate accounting is the SG count in both modes
-        assert with_filter.sg_candidates == without.sg_candidates
+        # `use_sg_filter` is ignored: every scan reads the Sophie Germain
+        # flags, so False gives every field that True gives but the time.
+        # On [10^6, 3*10^6] the 6k-1 flags alone left the walk 6 n, not 4
+        for lo, hi, found, walked in [(2, 2000, KNOWN_EXCEPTIONAL, 8), (10**6, 3 * 10**6, [], 4)]:
+            with_flag, without = (scan_exceptional(lo, hi, flag) for flag in (True, False))
+            assert without._replace(elapsed_ms=0) == with_flag._replace(elapsed_ms=0)
+            assert (with_flag.exceptional, with_flag.walked) == (found, walked)
 
     def test_report_fields(self):
-        report = scan_exceptional(2, 30, use_sg_filter=True)
+        report = scan_exceptional(2, 30)
         assert (report.lo, report.hi) == (2, 30)
         assert all(2 <= n <= 30 for n in report.exceptional)
         assert all(is_sophie_germain(n - 1) for n in report.exceptional if n > 2)
@@ -225,25 +224,24 @@ class TestScan:
     def test_workers_match_single(self, monkeypatch):
         # 83 k in two segments, so a real pool starts
         monkeypatch.setattr(exceptional, "SEGMENT", 42)
-        solo = scan_exceptional(2, 500, use_sg_filter=True, workers=1)
-        multi = scan_exceptional(2, 500, use_sg_filter=True, workers=3)
+        solo = scan_exceptional(2, 500, workers=1)
+        multi = scan_exceptional(2, 500, workers=3)
         assert solo.exceptional == multi.exceptional
         assert solo.sg_candidates == multi.sg_candidates
 
     def test_theorem_soundness_sample(self):
-        report = scan_exceptional(2, 5000, use_sg_filter=False)
+        report = scan_exceptional(2, 5000)
         for n in report.exceptional:
             if n > 2:
                 assert is_sophie_germain(n - 1)
 
     # `walked` counts the plan's work, not the answer, so every pin of it is
-    # here and moves with the plan.  It depends on the rows' bound MAX_STEP
-    # and the filter, not on the window's width, SEGMENT or the workers.  Up
-    # to 10^5 the progressions leave only the exceptional values to the walk;
-    # above that the filter can leave fewer n to walk than n-1 prime alone,
-    # as on [10^6, 3*10^6].
+    # here and moves with the plan.  It depends on the rows' bound MAX_STEP,
+    # not on the window's width, SEGMENT, the workers or `use_sg_filter`,
+    # which is ignored: each window is scanned with it True, then False.  Up
+    # to 10^5 the progressions leave only the exceptional values to the walk.
     @pytest.mark.parametrize(
-        "lo,hi,walked_filtered,walked_unfiltered",
+        "lo,hi,walked_true,walked_false",
         [
             (2, 1000, 8, 8),
             (2, 10**5, 8, 8),
@@ -252,12 +250,12 @@ class TestScan:
             (10**9, 10**9 + 3000, 1, 1),
             (10**9, 10**9 + 9000, 1, 1),
             (3 * 10**7, 3 * 10**7 + 6000, 0, 0),
-            (10**6, 3 * 10**6, 4, 6),
+            (10**6, 3 * 10**6, 4, 4),
         ],
     )
-    def test_walked_per_window(self, lo, hi, walked_filtered, walked_unfiltered):
-        assert scan_exceptional(lo, hi, use_sg_filter=True).walked == walked_filtered
-        assert scan_exceptional(lo, hi, use_sg_filter=False).walked == walked_unfiltered
+    def test_walked_per_window(self, lo, hi, walked_true, walked_false):
+        assert scan_exceptional(lo, hi, True).walked == walked_true
+        assert scan_exceptional(lo, hi, False).walked == walked_false
 
     # Each n = 6k is sliced, looked up or walked by the same rows wherever
     # its window starts, so `walked` adds up over any split of a window.
@@ -273,10 +271,9 @@ class TestScan:
     @example(lo=3 * 10**7, left=3000, right=3000)
     def test_walked_adds_up_over_a_split_window(self, lo, left, right):
         mid, hi = lo + left, lo + left + right
-        for use_sg_filter in (True, False):
-            whole = scan_exceptional(lo, hi, use_sg_filter).walked
-            parts = [scan_exceptional(*part, use_sg_filter) for part in ((lo, mid), (mid + 1, hi))]
-            assert whole == sum(part.walked for part in parts), (lo, mid, hi, use_sg_filter)
+        whole = scan_exceptional(lo, hi).walked
+        parts = [scan_exceptional(*part) for part in ((lo, mid), (mid + 1, hi))]
+        assert whole == sum(part.walked for part in parts), (lo, mid, hi)
 
     def test_domain_limit(self):
         assert scan_exceptional(MAX_SCAN_HI, MAX_SCAN_HI).exceptional == []
@@ -374,7 +371,7 @@ def per_n(lo, hi):
     return found, sg
 
 
-def scanned(lo, hi, use_sg_filter):
+def scanned(lo, hi, use_sg_filter=True):
     report = scan_exceptional(lo, hi, use_sg_filter)
     return report.exceptional, report.sg_candidates
 
@@ -384,13 +381,11 @@ class TestSieve:
 
     @staticmethod
     def assert_flags_are_primality(k0, size):
-        live, germain = exceptional._sieve(k0, size)
         ks = range(k0, k0 + size)
-        assert list(live) == [is_prime(6 * k - 1) for k in ks], (k0, size)
         expected = [is_prime(6 * k - 1) and is_prime(12 * k - 1) for k in ks]
-        assert list(germain) == expected, (k0, size)
+        assert list(exceptional._sieve(k0, size)) == expected, (k0, size)
 
-    # k0 = 1 ... 3: the window holds base primes, which each form clears as
+    # k0 = 1 ... 3: the window holds base primes, which each pass clears as
     # their own multiples and then restores where they were set before;
     # size 1 leaves every base prime to the one-hit loop, size 3000 sends the
     # primes below 1000 to the slice loop.  In a window of size q, q + 1, 2q,
@@ -439,8 +434,8 @@ class TestSieve:
     def test_restores_a_base_prime_only_where_it_was_set(self):
         # k = 1: 5 and 11 are prime.  k = 6: 71 = 12*6 - 1 is a base prime,
         # cleared as its own multiple, but 35 = 6*6 - 1 is composite
-        _, germain = exceptional._sieve(1, 500)
-        assert (germain[0], germain[5]) == (1, 0)
+        flags = exceptional._sieve(1, 500)
+        assert (flags[0], flags[5]) == (1, 0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -456,8 +451,7 @@ class TestSieve:
 
 class TestPlan:
     """The plan of a scan (SEGMENT, MAX_STEP, the workers) changes its work,
-    never its answer; and of its work, only MAX_STEP and the filter change
-    `walked`."""
+    never its answer; and of its work, only MAX_STEP changes `walked`."""
 
     @staticmethod
     def rows(max_step):
@@ -481,19 +475,18 @@ class TestPlan:
         st.sampled_from([7, 1000, 1 << 22]),
         st.sampled_from([0, 7, 128, 512]),
         st.sampled_from([1, 2]),
-        st.booleans(),
     )
     def test_answer_does_not_depend_on_the_plan(
-        self, monkeypatch, fake_pool, lo, width, segment, max_step, workers, use_sg_filter
+        self, monkeypatch, fake_pool, lo, width, segment, max_step, workers
     ):
         # high windows are kept narrow: a 7-wide segment sieves on its own
         hi = lo + (width if lo < 10**6 else width // 10)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with monkeypatch.context() as plan:
             plan.setattr(exceptional, "MAX_STEP", max_step)
-            plain = scan_exceptional(lo, hi, use_sg_filter)
+            plain = scan_exceptional(lo, hi)
             plan.setattr(exceptional, "SEGMENT", segment)
-            planned = scan_exceptional(lo, hi, use_sg_filter, workers)
+            planned = scan_exceptional(lo, hi, workers=workers)
         expected = per_n(lo, hi)
         assert (plain.exceptional, plain.sg_candidates) == expected
         assert (planned.exceptional, planned.sg_candidates) == expected
@@ -512,6 +505,8 @@ class TestPlan:
         five, seven = [0, 0, 0, 3, 0], [0, 0, 2, 10, 0, 0, 0]
         assert rows(7) == ([(5, 3), (7, 2), (7, 10)], [], [(5, five), (7, seven)])
 
+    # `use_sg_filter`, here and below, is passed both ways to show that the
+    # scan ignores it
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     def test_a_scan_of_no_6k_builds_no_rows(self, monkeypatch, use_sg_filter):
         # [7, 11] holds no n = 6k, and [2, 5] only n = 2, 3, 4, which are
@@ -654,10 +649,10 @@ class TestPlan:
         rows = self.rows(max_step)
         left, sg = [], 0
         for k in range(k0, k0 + size):
-            live, germain = is_prime(6 * k - 1), is_prime(12 * k - 1)
-            sg += live and germain
+            live = is_prime(6 * k - 1) and is_prime(12 * k - 1)
+            sg += live
             held = any(k >= first and (k - first) % step == 0 for step, first in rows)
-            if live and (germain or not use_sg_filter) and not held:
+            if live and not held:
                 left.append(6 * k)
         expected = ([n for n in left if find_first_nonbasic(n) is None], sg, len(left))
         # the rule's own choice, then each way of applying the dense rows
@@ -666,21 +661,23 @@ class TestPlan:
             plan.setattr(exceptional, "MAX_STEP", max_step)
             for way, rule in enumerate(rules):
                 plan.setattr(exceptional, "_few_live", rule)
-                assert exceptional._scan_segment((k0, size), use_sg_filter) == expected, way
+                assert exceptional._scan_segment((k0, size)) == expected, way
+            # the scan of the segment's n is that one segment, whatever the flag
+            report = scan_exceptional(6 * k0, 6 * (k0 + size) - 1, use_sg_filter)
+        assert (report.exceptional, report.sg_candidates, report.walked) == expected
 
-    # Filtered, then unfiltered.  The 501 k of a 3000-wide window at 3*10^7
-    # hold 14 Sophie Germain k and 89 live k, fewer than the 193 dense rows.
-    # The other windows span more than 64 k a dense row, 12 352 k, and are
-    # sliced uncounted: the 16 666 k of [2, 10^5], a full segment at 10^12,
-    # and the 16 667 k of [10^12 - 10^5, 10^12], although these hold only
-    # 149 Sophie Germain k.
+    # One choice a segment.  The 501 k of a 3000-wide window at 3*10^7 hold
+    # 14 live k, fewer than the 193 dense rows.  The other windows span more
+    # than 64 k a dense row, 12 352 k, and are sliced whatever they hold:
+    # the 16 666 k of [2, 10^5], a full segment at 10^12, and the 16 667 k
+    # of [10^12 - 10^5, 10^12], although these hold only 149 live k.
     @pytest.mark.parametrize(
         "lo,hi,looked_up",
         [
-            (30_000_000, 30_003_000, [True, True]),
-            (2, 10**5, [False, False]),
-            (MAX_SCAN_HI - 6 * exceptional.SEGMENT + 1, MAX_SCAN_HI, [False, False]),
-            (MAX_SCAN_HI - 10**5, MAX_SCAN_HI, [False, False]),
+            (30_000_000, 30_003_000, [True]),
+            (2, 10**5, [False]),
+            (MAX_SCAN_HI - 6 * exceptional.SEGMENT + 1, MAX_SCAN_HI, [False]),
+            (MAX_SCAN_HI - 10**5, MAX_SCAN_HI, [False]),
         ],
     )
     def test_which_segments_look_up_the_dense_rows(self, monkeypatch, lo, hi, looked_up):
@@ -691,8 +688,7 @@ class TestPlan:
             return ways[-1]
 
         monkeypatch.setattr(exceptional, "_few_live", recorded)
-        for use_sg_filter in (True, False):
-            scan_exceptional(lo, hi, use_sg_filter)
+        scan_exceptional(lo, hi)
         assert ways == looked_up
 
 
@@ -703,10 +699,9 @@ class TestSieveAgainstWalk:
     @given(
         st.integers(min_value=2, max_value=200_000),
         st.integers(min_value=0, max_value=800),
-        st.booleans(),
     )
-    def test_random_windows(self, lo, width, use_sg_filter):
-        assert scanned(lo, lo + width, use_sg_filter) == per_n(lo, lo + width)
+    def test_random_windows(self, lo, width):
+        assert scanned(lo, lo + width) == per_n(lo, lo + width)
 
     @pytest.mark.parametrize(
         "lo,hi", [(2, 2), (3, 3), (444, 444), (445, 445), (2, 700), (99_990, 100_300)]
@@ -718,8 +713,7 @@ class TestSieveAgainstWalk:
 
     @pytest.mark.parametrize("lo", [29_998_000, 30_000_000, 30_517_000])
     def test_windows_near_3e7(self, lo):
-        expected = per_n(lo, lo + 3000)
-        assert scanned(lo, lo + 3000, True) == scanned(lo, lo + 3000, False) == expected
+        assert scanned(lo, lo + 3000) == per_n(lo, lo + 3000)
 
     @pytest.mark.parametrize("use_sg_filter", [True, False])
     def test_every_range_to_60(self, use_sg_filter):
@@ -735,13 +729,12 @@ class TestSieveAgainstWalk:
     @given(
         st.integers(min_value=10**9, max_value=MAX_SCAN_HI - 300),
         st.integers(min_value=0, max_value=300),
-        st.booleans(),
     )
-    def test_high_windows(self, lo, width, use_sg_filter):
+    def test_high_windows(self, lo, width):
         # No exceptional value is known above 444; the Sophie Germain count
         # comes from the primality test, not from the sieve.
         sg = sum(1 for n in range(lo, lo + width + 1) if is_sophie_germain(n - 1))
-        assert scanned(lo, lo + width, use_sg_filter) == ([], sg)
+        assert scanned(lo, lo + width) == ([], sg)
 
     @pytest.mark.parametrize(
         "lo,hi,sg",
@@ -752,10 +745,7 @@ class TestSieveAgainstWalk:
         ],
     )
     def test_high_windows_pinned(self, lo, hi, sg):
-        filtered = scan_exceptional(lo, hi, use_sg_filter=True)
-        unfiltered = scan_exceptional(lo, hi, use_sg_filter=False)
-        assert filtered.exceptional == unfiltered.exceptional == []
-        assert filtered.sg_candidates == unfiltered.sg_candidates == sg
+        assert scanned(lo, hi) == ([], sg)
 
     # each range but [2, 3] holds at least two segments of 7 k; [2, 3] holds
     # no n = 6k, so no segment, and no pool starts
